@@ -1,6 +1,6 @@
 package repro.core.frep
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 
 /** One segment of contiguous rows sharing a value of some attribute. */
 final case class Seg(value: String, start: Int, len: Int)
@@ -128,8 +128,19 @@ object HierRelation {
   def fromDataFrame(df: DataFrame, dim: String, attrs: Seq[String]): HierRelation = {
     import org.apache.spark.sql.functions.col
     val rows = df.select(attrs.map(col): _*).distinct().collect()
-      .map(r => (0 until attrs.size).map(i => String.valueOf(r.get(i))).toVector)
+      .map(r => keyOf(r, attrs.indices, attrs))
       .toSeq
     apply(dim, attrs, rows)
   }
+
+  /** The values of `row` at positions `cols` as strings; `attrs(i)` names
+    * the attribute at `cols(i)`. A null value is rejected: as a string it
+    * would merge with a real value "null".
+    */
+  def keyOf(row: Row, cols: Seq[Int], attrs: Seq[String]): Vector[String] =
+    cols.indices.map { i =>
+      if (row.isNullAt(cols(i)))
+        throw new IllegalArgumentException(s"null value of attribute ${attrs(i)}")
+      row.get(cols(i)).toString
+    }.toVector
 }

@@ -15,7 +15,8 @@ final case class AuxDataset(name: String, df: DataFrame, joinAttr: String, measu
   * Default features (Section 3.3.1): every grouping attribute becomes one
   * column whose value is the *median* of the group statistic over the
   * groups sharing that attribute value (main effects, not one-hot). The
-  * medians are Spark aggregation jobs over the drill-down statistics.
+  * medians are computed on the driver from the collected drill-down
+  * statistics and equal Spark's `median` bit for bit.
   *
   * An attribute whose values have no parallel groups (fewer than
   * `minParallel` matrix rows per distinct value) is excluded: its main
@@ -25,6 +26,10 @@ final case class AuxDataset(name: String, df: DataFrame, joinAttr: String, measu
   */
 object Featurizer {
 
+  /** Featurizes the drill-down statistics in `statsDf`: collects each
+    * group's key and `yCol` in one Spark job, then runs [[fromGroups]].
+    * Groups with a null `yCol` are skipped, as Spark's `median` skips them.
+    */
   def build(
       statsDf: DataFrame,
       hiers: Vector[HierRelation],
@@ -32,7 +37,27 @@ object Featurizer {
       aux: Seq[AuxDataset],
       minParallel: Double = 2.0,
   ): Vector[FeatureColumn] = {
+    val attrs = hiers.flatMap(_.attrs)
+    val rows = statsDf.select(attrs.map(col) :+ col(yCol).cast("double"): _*).collect()
+      .filterNot(_.isNullAt(attrs.size))
+    fromGroups(rows.map(r => HierRelation.keyOf(r, attrs.indices, attrs)).toVector,
+      rows.map(_.getDouble(attrs.size)), hiers, aux, minParallel)
+  }
+
+  /** Featurizes on the driver. `keys(g)` holds group g's values of the
+    * attributes of `hiers`, in hierarchy order; `targets(g)` is the
+    * statistic its model predicts.
+    */
+  def fromGroups(
+      keys: Vector[Vector[String]],
+      targets: Array[Double],
+      hiers: Vector[HierRelation],
+      aux: Seq[AuxDataset],
+      minParallel: Double = 2.0,
+  ): Vector[FeatureColumn] = {
+    require(keys.size == targets.length, s"${keys.size} group keys but ${targets.length} targets")
     val n = hiers.map(_.total.toLong).product.toDouble
+    val offsets = hiers.scanLeft(0)(_ + _.depth)
     val cols = Vector.newBuilder[FeatureColumn]
     cols += FeatureColumn.Intercept
 
@@ -40,9 +65,9 @@ object Featurizer {
       val attr = hiers(h).attrs(ai)
       val distinct = hiers(h).segments(ai).size
       if (n / distinct >= minParallel) {
-        val rows = statsDf.groupBy(col(attr)).agg(median(col(yCol)).as("med")).collect()
-        val map = rows.map(r => String.valueOf(r.get(0)) -> r.getDouble(1)).toMap
-        val default = if (map.isEmpty) 0.0 else medianOf(map.values.toSeq)
+        val k = offsets(h) + ai
+        val map = keys.indices.groupMap(keys(_)(k))(targets(_)).map { case (v, ys) => v -> sparkMedian(ys.toArray) }
+        val default = if (map.isEmpty) 0.0 else sparkMedian(map.values.toArray)
         cols += FeatureColumn(s"main:$attr", h, ai, v => map.getOrElse(v, default))
       }
     }
@@ -61,16 +86,24 @@ object Featurizer {
     cols.result()
   }
 
+  /** Spark's exact `median`, i.e. `percentile(v, 0.5)`: sorts the values
+    * (NaN last), takes position (count - 1) * 0.5 and, when it is
+    * fractional and the two values around it differ, interpolates
+    * linearly between them in Spark's order of operations.
+    */
+  def sparkMedian(values: Array[Double]): Double = {
+    require(values.nonEmpty, "median of no values")
+    val s = values.clone()
+    java.util.Arrays.sort(s)
+    val pos = (s.length - 1) * 0.5
+    val (lower, higher) = (pos.floor.toInt, pos.ceil.toInt)
+    if (lower == higher || s(lower) == s(higher)) s(lower)
+    else (higher - pos) * s(lower) + (pos - lower) * s(higher)
+  }
+
   private def locate(hiers: Vector[HierRelation], attr: String): Option[(Int, Int)] =
     hiers.indices.flatMap { h =>
       val ai = hiers(h).attrs.indexOf(attr)
       if (ai >= 0) Some((h, ai)) else None
     }.headOption
-
-  private def medianOf(vs: Seq[Double]): Double = {
-    val s = vs.sorted
-    if (s.isEmpty) 0.0
-    else if (s.size % 2 == 1) s(s.size / 2)
-    else (s(s.size / 2 - 1) + s(s.size / 2)) / 2.0
-  }
 }

@@ -1,10 +1,10 @@
 package repro.core.reptile
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.fmatrix.FactorizedMatrix
+import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
-import repro.core.model.{FactorizedBackend, DenseBackend, LinearModel, MLBackend, MultiLevelEM}
+import repro.core.model.{FactorizedBackend, LinearModel, MLBackend, MultiLevelEM}
 
 /** A hierarchical dimension: attributes ordered least to most specific. */
 final case class Dimension(name: String, attrs: Vector[String])
@@ -65,27 +65,132 @@ final case class DimRankResult(
   def best: Candidate = ranked.head
 }
 
+/** The statistics of one drill-down, collected to the driver: the data
+  * step's output. `used` lists the hierarchies in matrix order with their
+  * depths, the drill-down hierarchy last. For every non-empty group,
+  * `keys` holds its values of `attrs`, `stats` its (count, mean, std) and
+  * `sums` Spark's `sum` of the measure. The driver step derives everything
+  * else from these rows, without another Spark job.
+  */
+final class Drilldown(
+    val used: Vector[(Dimension, Int)],
+    val keys: Vector[Vector[String]],
+    val stats: Vector[GroupStats],
+    val sums: Vector[Double],
+) {
+  val attrs: Vector[String] = Drilldown.attrsOf(used)
+
+  /** Each hierarchy's relation: the group keys projected onto its
+    * attributes. Every fact row falls in exactly one group, so this is the
+    * set `select(attrs).distinct()` returns.
+    */
+  val hiers: Vector[HierRelation] = {
+    val offsets = used.scanLeft(0)(_ + _._2)
+    used.indices.map { h =>
+      val (d, dep) = used(h)
+      HierRelation(d.name, d.attrs.take(dep), keys.map(_.slice(offsets(h), offsets(h + 1))))
+    }.toVector
+  }
+
+  val observed: Map[Vector[String], GroupStats] = keys.zip(stats).toMap
+
+  /** Each group's value of the statistic a `kind` model is trained on. */
+  def targets(kind: StatKind, logTransform: Boolean): Array[Double] = {
+    val raw = kind match {
+      case StatKind.CountStat => stats.map(_.count)
+      case StatKind.MeanStat  => stats.map(_.mean)
+      case StatKind.SumStat   => sums
+    }
+    (if (logTransform) raw.map(v => math.log1p(math.max(v, 0.0))) else raw).toArray
+  }
+
+  def features(kind: StatKind, aux: Seq[AuxDataset], cfg: ReptileConfig): Vector[FeatureColumn] =
+    Featurizer.fromGroups(keys, targets(kind, cfg.logTransform), hiers, aux, cfg.minParallel)
+}
+
+object Drilldown {
+  /** The grouping attributes of hierarchies `used`, in matrix order. */
+  def attrsOf(used: Vector[(Dimension, Int)]): Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep) }
+
+  /** Reads collected statistics rows: the values of `attrsOf(used)` at
+    * columns `cols`, then count, mean, std and sum from column `statBase` on.
+    */
+  def fromRows(used: Vector[(Dimension, Int)], rows: Seq[Row], cols: Seq[Int], statBase: Int): Drilldown = {
+    val attrs = attrsOf(used)
+    new Drilldown(used,
+      rows.map(r => HierRelation.keyOf(r, cols, attrs)).toVector,
+      rows.map(r => GroupStats(r.getDouble(statBase), r.getDouble(statBase + 1), r.getDouble(statBase + 2))).toVector,
+      rows.map(_.getDouble(statBase + 3)).toVector)
+  }
+}
+
 /** The complaint-based drill-down engine (Problem 1).
   *
-  * Data-side work (drill-down group statistics over all parallel groups,
-  * main-effect featurization, hierarchy relation extraction) runs as Spark
-  * DataFrame aggregation jobs; the multi-level model is then trained on
-  * the driver over the factorised representation of the feature matrix.
+  * Each invocation runs one Spark aggregation over the fact table (the
+  * data step): the statistics of every drill-down group, collected to the
+  * driver. The driver step derives the hierarchy relations and main-effect
+  * features from those rows, trains the multi-level model over the
+  * factorised representation of the feature matrix and ranks the groups.
   */
 object Reptile {
+
+  private def statColumns(measure: String): Seq[Column] = Seq(
+    count(lit(1)).cast("double").as("stat_count"),
+    avg(col(measure)).as("stat_mean"),
+    coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
+    sum(col(measure)).cast("double").as("stat_sum"),
+  )
 
   /** Group statistics for a drill-down: one Spark groupBy over the fact
     * table computing the whole distributive set (count / mean / std / sum).
     */
-  def drilldownStats(fact: DataFrame, attrs: Seq[String], measure: String): DataFrame =
-    fact
-      .groupBy(attrs.map(col): _*)
-      .agg(
-        count(lit(1)).cast("double").as("stat_count"),
-        avg(col(measure)).as("stat_mean"),
-        coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
-        sum(col(measure)).cast("double").as("stat_sum"),
-      )
+  def drilldownStats(fact: DataFrame, attrs: Seq[String], measure: String): DataFrame = {
+    val stats = statColumns(measure)
+    fact.groupBy(attrs.map(col): _*).agg(stats.head, stats.tail: _*)
+  }
+
+  /** The hierarchies of drilling `targetDim` one level deeper, in matrix
+    * order: the drilled other dimensions first, the target last (Section
+    * 3.4's attribute-ordering restriction).
+    */
+  def drilldownOf(dims: Vector[Dimension], drilled: Map[String, Int], targetDim: String): Vector[(Dimension, Int)] = {
+    val target = dims.find(_.name == targetDim)
+      .getOrElse(throw new IllegalArgumentException(s"unknown dimension $targetDim"))
+    val tDepth = drilled.getOrElse(targetDim, 0) + 1
+    require(tDepth <= target.attrs.size, s"dimension $targetDim fully drilled")
+    val others = dims.filter(d => d.name != targetDim && drilled.getOrElse(d.name, 0) > 0)
+    others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))
+  }
+
+  /** The data step of one drill-down: one Spark aggregation, collected. */
+  def collectDrilldown(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Drilldown = {
+    val attrs = Drilldown.attrsOf(used)
+    Drilldown.fromRows(used, drilldownStats(fact, attrs, measure).collect().toSeq, attrs.indices, attrs.size)
+  }
+
+  /** The data step of several drill-downs in one scan: a `groupingSets`
+    * aggregation with one set per drill-down, collected once. A row's
+    * `grouping_id()` names its set, so the nulls of grouped-out columns
+    * are never read as values.
+    */
+  def collectDrilldowns(fact: DataFrame, useds: Vector[Vector[(Dimension, Int)]], measure: String): Vector[Drilldown] = {
+    val attrLists = useds.map(Drilldown.attrsOf)
+    val cols = attrLists.flatten.distinct
+    // One bit per grouping column, the first column the most significant;
+    // a bit is set when its column is grouped out.
+    def groupingId(attrs: Seq[String]): Long =
+      cols.foldLeft(0L)((id, c) => (id << 1) | (if (attrs.contains(c)) 0L else 1L))
+    val stats = statColumns(measure)
+    val rows = fact
+      .groupingSets(attrLists.distinctBy(_.toSet).map(_.map(col)), cols.map(col): _*)
+      .agg(grouping_id().as("grouping_id"), stats: _*)
+      .collect()
+    val bySet = rows.groupBy(_.getLong(cols.size))
+    useds.zip(attrLists).map { case (used, attrs) =>
+      Drilldown.fromRows(used, bySet.getOrElse(groupingId(attrs), Array.empty[Row]).toSeq,
+        attrs.map(cols.indexOf), cols.size + 1)
+    }
+  }
 
   /** Ranks the drill-down groups of one target hierarchy. */
   def rankDim(
@@ -99,93 +204,12 @@ object Reptile {
       targetDim: String,
       aux: Seq[AuxDataset] = Nil,
       cfg: ReptileConfig = ReptileConfig(),
-  ): DimRankResult = {
-    val target = dims.find(_.name == targetDim)
-      .getOrElse(throw new IllegalArgumentException(s"unknown dimension $targetDim"))
-    val tDepth = drilled.getOrElse(targetDim, 0) + 1
-    require(tDepth <= target.attrs.size, s"dimension $targetDim fully drilled")
-
-    // Hierarchy order: drilled non-target dims first, the drill-down
-    // hierarchy last (Section 3.4's attribute-ordering restriction).
-    val others = dims.filter(d => d.name != targetDim && drilled.getOrElse(d.name, 0) > 0)
-    val used: Vector[(Dimension, Int)] =
-      (others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))).toVector
-    val hiers = used.map { case (d, dep) => HierRelation.fromDataFrame(fact, d.name, d.attrs.take(dep)) }
-    val allAttrs: Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
-
-    val statsDf = drilldownStats(fact, allAttrs, measure).cache()
-
-    val kinds: Seq[StatKind] = complaint.agg match {
-      case AggType.Count => Seq(StatKind.CountStat)
-      case AggType.Mean  => Seq(StatKind.MeanStat)
-      case AggType.Std   => Seq(StatKind.MeanStat)
-      case AggType.Sum =>
-        if (cfg.sumDirect) Seq(StatKind.SumStat) else Seq(StatKind.CountStat, StatKind.MeanStat)
-    }
-
-    // Observed group statistics, keyed by the attr-value tuple.
-    val observed: Map[Vector[String], GroupStats] = statsDf.collect().map { r =>
-      val key = allAttrs.indices.map(i => String.valueOf(r.get(i))).toVector
-      val base = allAttrs.size
-      key -> GroupStats(r.getDouble(base), r.getDouble(base + 1), r.getDouble(base + 2))
-    }.toMap
-
-    // One model per statistic kind, all over the same hierarchies.
-    val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
-      val tCol = s"y_${kind.name}"
-      val withY =
-        if (cfg.logTransform) statsDf.withColumn(tCol, log1p(greatest(col(kind.col), lit(0.0))))
-        else statsDf.withColumn(tCol, col(kind.col))
-      val fcols = Featurizer.build(withY, hiers, tCol, aux, cfg.minParallel)
-      val fm = new FactorizedMatrix(hiers, fcols)
-      val y = buildY(fm, hiers, allAttrs, observed, kind, cfg)
-      kind -> (fm, predictions(fm, y, cfg))
-    }.toMap
-
-    // Candidate groups: siblings under the complaint tuple.
-    val fm0 = perKind(kinds.head)._1
-    val fixedRows: Vector[Int] = used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
-      val tuple = d.attrs.take(dep).map(a =>
-        filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a")))
-      hiers(h).rowIndexOf(tuple)
-    }
-    val parentPrefix = target.attrs.take(tDepth - 1).map(a =>
-      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a")))
-    val tHier = hiers.last
-    val (cStart, cEnd) = tHier.blockOfPrefix(parentPrefix)
-
-    val candidateRows = (cStart until cEnd).toVector
-    val candidates = candidateRows.map { r =>
-      val idx = fm0.indexOf(fixedRows :+ r)
-      val key = (used.dropRight(1).zipWithIndex.flatMap { case ((d, dep), h) => hiers(h).rows(fixedRows(h)) } ++
-        tHier.rows(r)).toVector
-      val obs = observed.getOrElse(key, GroupStats.empty)
-      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)._2(idx)).toMap
-      val rep = repair(obs, preds, kinds)
-      val values = allAttrs.zip(key).toMap
-      (values, obs, rep, preds, idx)
-    }
-
-    val obsAll = candidates.map(_._2)
-    val baselineScore = complaint.score(GroupStats.combine(obsAll))
-    val primary = kinds.head
-    val scored = candidates.zipWithIndex.map { case ((values, obs, rep, preds, idx), ci) =>
-      val combined = GroupStats.combine(obsAll.updated(ci, rep))
-      val residual =
-        if (kinds.size == 2) obs.sum - preds("count") * preds("mean") // SUM via count x mean
-        else primary match {
-          case StatKind.CountStat => obs.count - preds("count")
-          case StatKind.MeanStat  => obs.mean - preds("mean")
-          case StatKind.SumStat   => obs.sum - preds("sum")
-        }
-      Candidate(values, obs, rep, preds, complaint.score(combined), residual)
-    }
-    statsDf.unpersist()
-    DimRankResult(targetDim, target.attrs(tDepth - 1), scored, baselineScore)
-  }
+  ): DimRankResult =
+    rankDrilldown(collectDrilldown(fact, drilldownOf(dims, drilled, targetDim), measure), filters, complaint, aux, cfg)
 
   /** Ranks every candidate drill-down hierarchy and orders them by how
-    * much their best group repair resolves the complaint.
+    * much their best group repair resolves the complaint. All candidates'
+    * statistics come from one Spark scan.
     */
   def recommend(
       spark: SparkSession,
@@ -200,10 +224,73 @@ object Reptile {
   ): Vector[DimRankResult] = {
     val eligible = dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size)
     require(eligible.nonEmpty, "no hierarchy left to drill down")
-    eligible
-      .map(d => rankDim(spark, fact, dims, drilled, filters, complaint, measure, d.name, aux, cfg))
+    collectDrilldowns(fact, eligible.map(d => drilldownOf(dims, drilled, d.name)), measure)
+      .map(rankDrilldown(_, filters, complaint, aux, cfg))
       .sortBy(_.best.score)
-      .toVector
+  }
+
+  /** The driver step: trains one model per modelled statistic over the
+    * collected drill-down and ranks the sibling groups under the complaint
+    * tuple in its last hierarchy.
+    */
+  def rankDrilldown(
+      dd: Drilldown,
+      filters: Map[String, String],
+      complaint: Complaint,
+      aux: Seq[AuxDataset],
+      cfg: ReptileConfig,
+  ): DimRankResult = {
+    val (target, tDepth) = dd.used.last
+    val hiers = dd.hiers
+    val kinds: Seq[StatKind] = complaint.agg match {
+      case AggType.Count => Seq(StatKind.CountStat)
+      case AggType.Mean  => Seq(StatKind.MeanStat)
+      case AggType.Std   => Seq(StatKind.MeanStat)
+      case AggType.Sum =>
+        if (cfg.sumDirect) Seq(StatKind.SumStat) else Seq(StatKind.CountStat, StatKind.MeanStat)
+    }
+
+    // One model per statistic kind, all over the same hierarchies.
+    val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
+      val fm = new FactorizedMatrix(hiers, dd.features(kind, aux, cfg))
+      val y = buildY(fm, hiers, dd.attrs, dd.observed, kind, cfg)
+      kind -> (fm, predictions(fm, y, cfg))
+    }.toMap
+
+    // Candidate groups: siblings under the complaint tuple.
+    val fm0 = perKind(kinds.head)._1
+    def filterOf(a: String): String =
+      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
+    val fixedRows: Vector[Int] = dd.used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
+      hiers(h).rowIndexOf(d.attrs.take(dep).map(filterOf))
+    }
+    val tHier = hiers.last
+    val (cStart, cEnd) = tHier.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
+    val fixedKey = fixedRows.indices.flatMap(h => hiers(h).rows(fixedRows(h)))
+
+    val candidates = (cStart until cEnd).toVector.map { r =>
+      val idx = fm0.indexOf(fixedRows :+ r)
+      val key = (fixedKey ++ tHier.rows(r)).toVector
+      val obs = dd.observed.getOrElse(key, GroupStats.empty)
+      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)._2(idx)).toMap
+      (dd.attrs.zip(key).toMap, obs, repair(obs, preds, kinds), preds)
+    }
+
+    val obsAll = candidates.map(_._2)
+    val baselineScore = complaint.score(GroupStats.combine(obsAll))
+    val primary = kinds.head
+    val scored = candidates.zipWithIndex.map { case ((values, obs, rep, preds), ci) =>
+      val combined = GroupStats.combine(obsAll.updated(ci, rep))
+      val residual =
+        if (kinds.size == 2) obs.sum - preds("count") * preds("mean") // SUM via count x mean
+        else primary match {
+          case StatKind.CountStat => obs.count - preds("count")
+          case StatKind.MeanStat  => obs.mean - preds("mean")
+          case StatKind.SumStat   => obs.sum - preds("sum")
+        }
+      Candidate(values, obs, rep, preds, complaint.score(combined), residual)
+    }
+    DimRankResult(target.name, target.attrs(tDepth - 1), scored, baselineScore)
   }
 
   // ------------------------------------------------------------ internals
@@ -272,18 +359,5 @@ object Reptile {
         g = if (g.count > 0) g.copy(mean = s / g.count) else GroupStats(1.0, s, 0.0)
     }
     g
-  }
-
-  /** The dense "materialize everything" pipeline used by the Figure 10
-    * baseline: identical model, but the feature matrix is materialized and
-    * every matrix operation runs over the dense representation.
-    */
-  def densePredictions(fm: FactorizedMatrix, y: Array[Double], cfg: ReptileConfig): Array[Double] = {
-    val bk: MLBackend = new DenseBackend(fm.materialize, fm.clusterRanges)
-    val raw =
-      if (cfg.multiLevel)
-        MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge, reColsFor(fm, cfg)))
-      else LinearModel.predict(bk, LinearModel.fit(bk, y, cfg.ridge))
-    if (cfg.logTransform) raw.map(v => math.max(math.expm1(v), 0.0)) else raw
   }
 }

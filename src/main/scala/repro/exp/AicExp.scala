@@ -1,9 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.core.fmatrix.FactorizedMatrix
-import repro.core.frep.HierRelation
 import repro.core.model.{FactorizedBackend, LinearModel, MultiLevelEM}
 import repro.core.reptile._
 import repro.synth.DatasetSynth
@@ -25,22 +23,13 @@ object AicExp {
       aux: AuxDataset,
       emIters: Int,
   ): Vector[(String, Double)] = {
-    val hiers = dims.map { case (d, attrs) => HierRelation.fromDataFrame(fact, d, attrs) }
-    val allAttrs = dims.flatMap(_._2)
-    val statsDf = Reptile.drilldownStats(fact, allAttrs, measure).cache()
-    val observed = statsDf.collect().map { r =>
-      val key = allAttrs.indices.map(i => String.valueOf(r.get(i))).toVector
-      val base = allAttrs.size
-      key -> GroupStats(r.getDouble(base), r.getDouble(base + 1), r.getDouble(base + 2))
-    }.toMap
-    val withY = statsDf.withColumn("y_mean", col("stat_mean"))
+    val dd = Reptile.collectDrilldown(fact, dims.map { case (d, attrs) => (Dimension(d, attrs), attrs.size) }, measure)
     val cfg = ReptileConfig(emIters = emIters)
 
     def aicFor(useAux: Boolean, multiLevel: Boolean): Double = {
-      val fcols = Featurizer.build(withY, hiers, "y_mean", if (useAux) Seq(aux) else Nil, cfg.minParallel)
-      val fm = new FactorizedMatrix(hiers, fcols)
+      val fm = new FactorizedMatrix(dd.hiers, dd.features(StatKind.MeanStat, if (useAux) Seq(aux) else Nil, cfg))
       val bk = new FactorizedBackend(fm)
-      val y = Reptile.buildY(fm, hiers, allAttrs, observed, StatKind.MeanStat, cfg)
+      val y = Reptile.buildY(fm, dd.hiers, dd.attrs, dd.observed, StatKind.MeanStat, cfg)
       if (multiLevel) {
         // random intercept + (if present) random slope on the aux feature
         val re = fm.cols.zipWithIndex.collect {
@@ -50,14 +39,12 @@ object AicExp {
       } else LinearModel.aic(bk, y, LinearModel.fit(bk, y, cfg.ridge))
     }
 
-    val out = Vector(
+    Vector(
       "Linear" -> aicFor(useAux = false, multiLevel = false),
       "Linear-f" -> aicFor(useAux = true, multiLevel = false),
       "Multi-level" -> aicFor(useAux = false, multiLevel = true),
       "Multi-level-f" -> aicFor(useAux = true, multiLevel = true),
     )
-    statsDf.unpersist()
-    out
   }
 
   def run(spark: SparkSession, emIters: Int = 15): Vector[AicRow] = {

@@ -2,7 +2,6 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.fmatrix.FactorizedMatrix
-import repro.core.frep.HierRelation
 import repro.core.model.{DenseBackend, FactorizedBackend, MultiLevelEM}
 import repro.core.reptile._
 
@@ -58,33 +57,21 @@ object EndToEndExp {
     val rows = Vector.newBuilder[E2ERow]
 
     setup.drillOrder.zipWithIndex.foreach { case (targetName, inv) =>
-      val target = setup.dims.find(_.name == targetName).get
-      val tDepth = drilled.getOrElse(targetName, 0) + 1
-      val others = setup.dims.filter(d => d.name != targetName && drilled.getOrElse(d.name, 0) > 0)
-      val used = (others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))).toVector
+      val used = Reptile.drilldownOf(setup.dims, drilled, targetName)
+      val (target, tDepth) = used.last
 
-      // ---- shared Spark side: hierarchies, statistics, features, y ----
-      val ((hiers, observed, fcols), sparkMs) = Timing.ms {
-        val hs = used.map { case (d, dep) => HierRelation.fromDataFrame(fact, d.name, d.attrs.take(dep)) }
-        val allAttrs = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
-        val statsDf = Reptile.drilldownStats(fact, allAttrs, setup.measure).cache()
-        val obs = statsDf.collect().map { r =>
-          val key = allAttrs.indices.map(i => String.valueOf(r.get(i))).toVector
-          val base = allAttrs.size
-          key -> GroupStats(r.getDouble(base), r.getDouble(base + 1), r.getDouble(base + 2))
-        }.toMap
-        val withY = statsDf.withColumn("y_count", org.apache.spark.sql.functions.col("stat_count"))
-        val fc = Featurizer.build(withY, hs, "y_count", Nil, cfg.minParallel)
-        statsDf.unpersist()
-        (hs, obs, fc)
+      // ---- shared Spark side: statistics (one job), hierarchies, features ----
+      val ((dd, fcols), sparkMs) = Timing.ms {
+        val dd = Reptile.collectDrilldown(fact, used, setup.measure)
+        (dd, dd.features(StatKind.CountStat, Nil, cfg))
       }
-      val allAttrs = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
+      val hiers = dd.hiers
 
       // ---- Reptile: factorised matrix + EM ----
       // y assembly is shared input preparation (both pipelines need it);
       // the timed sections cover only representation-dependent work.
       val (fm, fmBuildMs) = Timing.ms(new FactorizedMatrix(hiers, fcols))
-      val y = Reptile.buildY(fm, hiers, allAttrs, observed, StatKind.CountStat, cfg)
+      val y = Reptile.buildY(fm, hiers, dd.attrs, dd.observed, StatKind.CountStat, cfg)
       // best-of-2 with a GC between: the surrounding Spark jobs leave heap
       // pressure that otherwise lands on whichever pipeline runs first.
       def timedBest(body: => Array[Double]): (Array[Double], Double) = {
@@ -115,16 +102,12 @@ object EndToEndExp {
       val tHier = hiers.last
       val parentPrefix = target.attrs.take(tDepth - 1).map(filters)
       val (bs, be) = tHier.blockOfPrefix(parentPrefix)
-      val fixedRows = used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
-        hiers(h).rowIndexOf(d.attrs.take(dep).map(filters))
+      val fixedKey = used.dropRight(1).zipWithIndex.flatMap { case ((d, dep), h) =>
+        hiers(h).rows(hiers(h).rowIndexOf(d.attrs.take(dep).map(filters)))
       }
       // deterministic stand-in for the paper's "return a random group":
       // the candidate with the largest observed count (always non-empty).
-      val bestRow = (bs until be).maxBy { r =>
-        val key = (used.dropRight(1).zipWithIndex.flatMap { case (_, h) => hiers(h).rows(fixedRows(h)) } ++
-          tHier.rows(r)).toVector
-        observed.getOrElse(key, GroupStats.empty).count
-      }
+      val bestRow = (bs until be).maxBy(r => dd.observed.getOrElse(fixedKey ++ tHier.rows(r), GroupStats.empty).count)
       val newAttr = target.attrs(tDepth - 1)
       filters += (newAttr -> tHier.rows(bestRow)(tDepth - 1))
       drilled += (targetName -> tDepth)

@@ -2,8 +2,9 @@ package repro.core
 
 import repro.{Oracle, SparkSpec}
 import repro.core.frep.HierRelation
-import repro.core.reptile.{AuxDataset, Featurizer, Reptile}
+import repro.core.reptile.{AuxDataset, Dimension, Featurizer, Reptile, ReptileConfig, StatKind}
 import org.apache.spark.sql.functions._
+import scala.util.Random
 
 class FeaturizerSpec extends SparkSpec {
   import spark.implicits._
@@ -31,6 +32,23 @@ class FeaturizerSpec extends SparkSpec {
         |FROM fact GROUP BY t, d, v""".stripMargin,
       "fact" -> fact,
     )
+  }
+
+  test("grouping-sets drill-downs match DuckDB group statistics per set") {
+    val time = Dimension("time", Vector("t"))
+    val geo = Dimension("geo", Vector("d", "v"))
+    val useds = Vector(Vector((time, 1), (geo, 1)), Vector((geo, 2)), Vector((geo, 1), (time, 1)), Vector((time, 1), (geo, 2)))
+    Reptile.collectDrilldowns(fact, useds, "measure").foreach { dd =>
+      val rows = dd.keys.indices.map(i => (dd.keys(i), dd.stats(i).count, dd.stats(i).mean, dd.sums(i)))
+      val got = rows.toDF("key", "stat_count", "stat_mean", "stat_sum")
+        .select(dd.attrs.indices.map(i => $"key"(i).as(dd.attrs(i))) ++
+          Seq($"stat_count", $"stat_mean", $"stat_sum"): _*)
+      Oracle.assertEquivalent(got,
+        s"""SELECT ${dd.attrs.mkString(", ")}, count(*)::DOUBLE AS stat_count,
+           |       avg(measure::DOUBLE) AS stat_mean, sum(measure::DOUBLE) AS stat_sum
+           |FROM fact GROUP BY ${dd.attrs.mkString(", ")}""".stripMargin,
+        "fact" -> fact)
+    }
   }
 
   test("main effects are medians of the group statistic (vs DuckDB)") {
@@ -80,5 +98,60 @@ class FeaturizerSpec extends SparkSpec {
     val auxDf = Seq(("x", 1.0)).toDF("nope", "m")
     val cols = Featurizer.build(statsDf, hiers, "y", Seq(AuxDataset("bad", auxDf, "nope", "m")))
     assert(!cols.exists(_.label == "aux:bad"))
+  }
+
+  test("sparkMedian equals Spark's median bit for bit (odd and even counts)") {
+    val rng = new Random(11)
+    // Group g has g + 1 values: odd and even counts, with repeated values
+    // and values whose halves round, so interpolation order shows.
+    val values = (0 until 40).flatMap { g =>
+      (0 to g).map(_ => g -> (if (rng.nextInt(4) == 0) rng.nextInt(3).toDouble else rng.nextGaussian() * 1e3 + 1e-7))
+    }
+    val fromSpark = values.toDF("g", "x").groupBy($"g").agg(median($"x")).collect()
+      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    values.groupMap(_._1)(_._2).foreach { case (g, xs) =>
+      val mine = Featurizer.sparkMedian(xs.toArray)
+      assert(java.lang.Double.doubleToRawLongBits(mine) == java.lang.Double.doubleToRawLongBits(fromSpark(g)),
+        s"group $g (${xs.size} values): $mine vs ${fromSpark(g)}")
+    }
+  }
+
+  test("driver main effects equal Spark medians over the statistics (random, with and without log1p)") {
+    val rng = new Random(5)
+    // Random sparse fact: each (t, d, v) group present with probability
+    // 0.7 and holding 1-4 rows, so attribute values cover odd and even
+    // numbers of groups.
+    val rows = for {
+      t <- 0 until 6; d <- 0 until 4; v <- 0 until 5 if rng.nextDouble() < 0.7
+      _ <- 0 until 1 + rng.nextInt(4)
+    } yield (s"t$t", s"d$d", s"d$d-v$v", rng.nextGaussian() * 50 + 20)
+    val randFact = rows.toDF("t", "d", "v", "measure")
+    val used = Vector((Dimension("time", Vector("t")), 1), (Dimension("geo", Vector("d", "v")), 2))
+    val dd = Reptile.collectDrilldown(randFact, used, "measure")
+    val stats = Reptile.drilldownStats(randFact, Seq("t", "d", "v"), "measure")
+    val parities = dd.keys.groupBy(_(0)).values.map(_.size % 2).toSet
+    assert(parities == Set(0, 1), "need attribute values with odd and even group counts")
+    for (log <- Seq(false, true); kind <- Seq(StatKind.CountStat, StatKind.MeanStat, StatKind.SumStat)) {
+      val cols = dd.features(kind, Nil, ReptileConfig(logTransform = log))
+      val y = if (log) log1p(greatest(col(kind.col), lit(0.0))) else col(kind.col)
+      for (attr <- Seq("t", "d", "v")) {
+        val sparkMed = stats.groupBy(col(attr)).agg(median(y)).collect()
+          .map(r => r.getString(0) -> r.getDouble(1)).toMap
+        val f = cols.find(_.label == s"main:$attr").get.f
+        sparkMed.foreach { case (value, m) =>
+          assert(f(value) == m, s"${kind.name} log=$log $attr=$value: ${f(value)} vs $m")
+        }
+      }
+    }
+  }
+
+  test("build over a statistics DataFrame equals featurizing the collected groups") {
+    val used = Vector((Dimension("time", Vector("t")), 1), (Dimension("geo", Vector("d", "v")), 2))
+    val dd = Reptile.collectDrilldown(fact, used, "measure")
+    val fromDf = Featurizer.build(statsDf, hiers, "y", Nil)
+    val fromKeys = dd.features(StatKind.MeanStat, Nil, ReptileConfig())
+    assert(fromDf.map(_.label) == fromKeys.map(_.label))
+    for ((a, b) <- fromDf.zip(fromKeys); v <- Seq("t1", "t2", "d1", "d2", "v1", "v2", "v3", "unseen"))
+      assert(a.f(v) == b.f(v), s"${a.label}($v)")
   }
 }

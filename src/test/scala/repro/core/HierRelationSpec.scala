@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.frep.{HierRelation, Seg}
+import repro.core.reptile.{Dimension, Reptile}
 
 class HierRelationSpec extends SparkSpec {
 
@@ -89,5 +90,42 @@ class HierRelationSpec extends SparkSpec {
 
   test("empty hierarchy is rejected") {
     intercept[IllegalArgumentException](HierRelation("e", Seq("a"), Nil))
+  }
+
+  test("relations projected from statistic keys equal fromDataFrame") {
+    import spark.implicits._
+    val df = Seq(
+      ("1986", "ofla", "zata", 1.0), ("1986", "ofla", "zata", 2.0), ("1987", "ofla", "darube", 3.0),
+      ("1987", "raya", "fala", 4.0), ("1986", "raya", "dinka", 5.0),
+    ).toDF("year", "district", "village", "v")
+    val used = Vector((Dimension("time", Vector("year")), 1), (Dimension("geo", Vector("district", "village")), 2))
+    val hiers = Reptile.collectDrilldown(df, used, "v").hiers
+    assert(hiers(0).rows == HierRelation.fromDataFrame(df, "time", Seq("year")).rows)
+    assert(hiers(1).rows == HierRelation.fromDataFrame(df, "geo", Seq("district", "village")).rows)
+    assert(hiers(1).dim == "geo" && hiers(1).attrs == Vector("district", "village"))
+  }
+
+  test("relations projected from statistic keys fail on an FD violation like fromDataFrame") {
+    import spark.implicits._
+    // zata appears under two districts
+    val df = Seq(("1986", "ofla", "zata", 1.0), ("1986", "raya", "zata", 2.0), ("1987", "raya", "fala", 3.0))
+      .toDF("year", "district", "village", "v")
+    val used = Vector((Dimension("time", Vector("year")), 1), (Dimension("geo", Vector("district", "village")), 2))
+    val fromStats = intercept[IllegalArgumentException](Reptile.collectDrilldown(df, used, "v"))
+    val fromDf = intercept[IllegalArgumentException](
+      HierRelation.fromDataFrame(df, "geo", Seq("district", "village")))
+    assert(fromStats.getMessage == fromDf.getMessage)
+    assert(fromStats.getMessage.contains("FD violation"))
+  }
+
+  test("null attribute values are rejected, naming the attribute") {
+    import spark.implicits._
+    val df = Seq(("ofla", "zata", 1.0), ("ofla", null, 2.0)).toDF("district", "village", "v")
+    val used = Vector((Dimension("geo", Vector("district", "village")), 2))
+    val fromStats = intercept[IllegalArgumentException](Reptile.collectDrilldown(df, used, "v"))
+    assert(fromStats.getMessage.contains("village"))
+    val fromDf = intercept[IllegalArgumentException](
+      HierRelation.fromDataFrame(df, "geo", Seq("district", "village")))
+    assert(fromDf.getMessage.contains("village"))
   }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.reptile._
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** End-to-end behaviour of the complaint-based drill-down engine on small
@@ -187,5 +189,96 @@ class ReptileSpec extends SparkSpec {
       complaint = Complaint(AggType.Mean, Direction.TooLow),
       measure = "sev", targetDim = "geo", cfg = cfg.copy(multiLevel = false))
     assert(res.candidates.size == 4)
+  }
+
+  /** Spark jobs started by `body`, counted by a listener. The listener bus
+    * delivers events in order, so the jobs counted are those between two
+    * marker jobs run before and after `body`.
+    */
+  private def jobsOf(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val key = "reptile.spec.marker"
+    val starts = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        starts.add(Option(e.properties).flatMap(p => Option(p.getProperty(key))).getOrElse(""))
+    }
+    def marker(name: String): Unit = {
+      sc.setLocalProperty(key, name)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("before")
+      body
+      marker("after")
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!starts.contains("after") && System.nanoTime() < deadline) Thread.sleep(10)
+      val seen = starts.asScala.toVector
+      assert(seen.contains("before") && seen.contains("after"), s"markers not seen: $seen")
+      seen.indexOf("after") - seen.indexOf("before") - 1
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("rankDim and recommend each run at most 2 Spark jobs") {
+    val fact = panel(11).toDF("year", "district", "village", "sev")
+    val complaint = Complaint(AggType.Mean, Direction.TooLow)
+    val rankJobs = jobsOf(Reptile.rankDim(spark, fact, dims, Map("time" -> 1, "geo" -> 1),
+      Map("year" -> "1986", "district" -> "ofla"), complaint, "sev", "geo", cfg = cfg))
+    assert(rankJobs >= 1 && rankJobs <= 2, s"rankDim ran $rankJobs jobs")
+    // two candidate hierarchies (time, and geo -> village) in one scan
+    val recJobs = jobsOf(Reptile.recommend(spark, fact, dims, Map("geo" -> 1),
+      Map("district" -> "ofla"), complaint, "sev", cfg = cfg))
+    assert(recJobs >= 1 && recJobs <= 2, s"recommend ran $recJobs jobs")
+  }
+
+  test("recommend's grouping-sets scan ranks each candidate as rankDim does") {
+    val rows = panel(12).map {
+      case (y, d, v, m) if y == "1987" && v == "raya-v3" => (y, d, v, m + 4.0)
+      case r                                             => r
+    }
+    val fact = rows.toDF("year", "district", "village", "sev")
+    val drilled = Map("geo" -> 1)
+    val filters = Map("district" -> "raya")
+    for (complaint <- Seq(Complaint(AggType.Mean, Direction.TooHigh), Complaint(AggType.Sum, Direction.TooHigh))) {
+      val rec = Reptile.recommend(spark, fact, dims, drilled, filters, complaint, "sev", cfg = cfg)
+      assert(rec.map(_.dim).toSet == Set("time", "geo"))
+      rec.foreach { r =>
+        val single = Reptile.rankDim(spark, fact, dims, drilled, filters, complaint, "sev", r.dim, cfg = cfg)
+        assert(r.attr == single.attr)
+        assert(r.ranked.map(_.values) == single.ranked.map(_.values), s"${r.dim}")
+        assert(r.candidates.map(_.observed.count) == single.candidates.map(_.observed.count))
+        r.candidates.zip(single.candidates).foreach { case (a, b) =>
+          assert(math.abs(a.score - b.score) <= 1e-9 * math.max(1.0, math.abs(b.score)), s"${a.values}")
+        }
+      }
+    }
+  }
+
+  test("a rankDim that throws leaves no cached statistics") {
+    val fact = panel(13).toDF("year", "district", "village", "sev")
+    spark.catalog.clearCache()
+    intercept[IllegalArgumentException] {
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("district" -> "ofla"), // year missing
+        complaint = Complaint(AggType.Mean, Direction.TooLow),
+        measure = "sev", targetDim = "geo", cfg = cfg)
+    }
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
+  test("a null attribute value fails with an error naming the attribute") {
+    val rows = panel(14).map {
+      case (y, d, v, m) if y == "1985" && v == "bora-v1" => (y, d, null, m)
+      case r                                             => r
+    }
+    val fact = rows.toDF("year", "district", "village", "sev")
+    val ex = intercept[IllegalArgumentException] {
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("year" -> "1986", "district" -> "ofla"),
+        complaint = Complaint(AggType.Mean, Direction.TooLow),
+        measure = "sev", targetDim = "geo", cfg = cfg)
+    }
+    assert(ex.getMessage.contains("village"), ex.getMessage)
   }
 }
