@@ -29,10 +29,10 @@ object FeatureColumn {
   * per-hierarchy segment scans:
   *  - gram: per-hierarchy pair sums scaled by the other hierarchies' TOTALs
   *    (cross-hierarchy COF is a cartesian product and never materialized);
-  *  - left multiplication (v^T X): prefix sums of v + range sums over the
-  *    FD-induced contiguous segments;
-  *  - right multiplication (X a): odometer row iteration updating only the
-  *    hierarchies whose row changed (vertically adjacent rows overlap);
+  *  - left multiplication (v^T X): v's marginal over each hierarchy, dotted
+  *    with the per-row feature values of that hierarchy's columns;
+  *  - right multiplication (X a): one term per hierarchy row, expanded
+  *    over the cartesian product by additions alone;
   *  - per-cluster variants: per-parent-block statistics are computed once
   *    and shared across all outer combinations (work sharing, Appendix F).
   */
@@ -126,39 +126,40 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
 
   // ------------------------------------------------- left multiplication
 
-  /** X^T v for an n-vector v (the paper's left multiplication `v^T X`),
-    * via prefix sums + FD-segment range sums (Algorithm 3).
+  /** X^T v for an n-vector v (the paper's left multiplication `v^T X`).
+    * A column of hierarchy h depends only on h's row, so its entry is the
+    * dot product of its per-row values with v's marginal over h. The
+    * marginals come from summing v down one hierarchy at a time, last
+    * first: about two additions per element of v, where a dense product
+    * costs m multiply-adds.
     */
   def xtv(v: Array[Double]): Array[Double] = {
     require(v.length == n, s"xtv length mismatch: ${v.length} vs $n")
-    val prefix = new Array[Double](n + 1)
-    var i = 0
-    while (i < n) { prefix(i + 1) = prefix(i) + v(i); i += 1 }
+    val marg = new Array[Array[Double]](H)
+    var w = v
+    var h = H - 1
+    while (h >= 0) {
+      val th = totals(h)
+      val mh = new Array[Double](th)
+      val next = new Array[Double](w.length / th)
+      var p = 0
+      while (p < next.length) {
+        val base = p * th
+        var acc = 0.0
+        var r = 0
+        while (r < th) { val x = w(base + r); mh(r) += x; acc += x; r += 1 }
+        next(p) = acc
+        p += 1
+      }
+      marg(h) = mh
+      w = next
+      h -= 1
+    }
     val out = new Array[Double](m)
     var j = 0
     while (j < m) {
-      val c = cols(j)
-      if (c.hierIdx < 0) out(j) = prefix(n)
-      else {
-        val h = c.hierIdx
-        val rel = hiers(h)
-        val inner = innerSize(h); val th = totals(h); val outer = outerSize(h)
-        val segs = rel.segments(c.attrIdx)
-        val segVal = segs.map(s => c.f(s.value)).toArray
-        var acc = 0.0
-        var o = 0
-        while (o < outer) {
-          val base = o * th * inner
-          var s = 0
-          while (s < segs.length) {
-            val seg = segs(s)
-            acc += segVal(s) * (prefix(base + (seg.start + seg.len) * inner) - prefix(base + seg.start * inner))
-            s += 1
-          }
-          o += 1
-        }
-        out(j) = acc
-      }
+      val hj = cols(j).hierIdx
+      out(j) = if (hj < 0) w(0) else Mat.dot(colVals(j), marg(hj))
       j += 1
     }
     out
@@ -166,42 +167,41 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
 
   // ------------------------------------------------ right multiplication
 
-  /** X a for an m-vector a (right multiplication), via row-diff odometer
-    * iteration (Algorithm 4): only hierarchies whose row pointer changed
-    * have their contribution recomputed.
+  /** X a for an m-vector a (right multiplication). Row i's value is the
+    * intercept plus one term per hierarchy that depends only on that
+    * hierarchy's row, so each term is computed once per hierarchy row and
+    * the result is expanded hierarchy by hierarchy (last fastest): about
+    * one addition per output row, where a dense product costs m.
     */
   def xv(a: Array[Double]): Array[Double] = {
     require(a.length == m, s"xv length mismatch: ${a.length} vs $m")
-    val out = new Array[Double](n)
     var const = 0.0
+    val contrib = Array.tabulate(H)(h => new Array[Double](totals(h)))
     var j = 0
-    while (j < m) { if (cols(j).hierIdx < 0) const += a(j); j += 1 }
-    val colsOf: Array[Array[Int]] = Array.tabulate(H)(h => cols.indices.filter(cols(_).hierIdx == h).toArray)
-    val ptr = new Array[Int](H)
-    val contrib = new Array[Double](H)
-    def recompute(h: Int): Unit = {
-      var s = 0.0
-      val cj = colsOf(h); var x = 0
-      while (x < cj.length) { val j = cj(x); s += a(j) * colVals(j)(ptr(h)); x += 1 }
-      contrib(h) = s
-    }
-    var h = 0
-    while (h < H) { recompute(h); h += 1 }
-    var running = const; h = 0
-    while (h < H) { running += contrib(h); h += 1 }
-    var i = 0
-    while (i < n) {
-      out(i) = running
-      // odometer increment: last hierarchy fastest
-      var d = H - 1
-      var carry = true
-      while (carry && d >= 0) {
-        ptr(d) += 1
-        if (ptr(d) == totals(d)) { ptr(d) = 0; carry = true } else carry = false
-        running -= contrib(d); recompute(d); running += contrib(d)
-        d -= 1
+    while (j < m) {
+      val h = cols(j).hierIdx
+      if (h < 0) const += a(j)
+      else {
+        val c = contrib(h); val cv = colVals(j); val aj = a(j)
+        var r = 0
+        while (r < c.length) { c(r) += aj * cv(r); r += 1 }
       }
-      i += 1
+      j += 1
+    }
+    var out = Array(const)
+    var h = 0
+    while (h < H) {
+      val c = contrib(h); val th = c.length
+      val next = new Array[Double](out.length * th)
+      var p = 0
+      while (p < out.length) {
+        val base = out(p); val off = p * th
+        var r = 0
+        while (r < th) { next(off + r) = base + c(r); r += 1 }
+        p += 1
+      }
+      out = next
+      h += 1
     }
     out
   }

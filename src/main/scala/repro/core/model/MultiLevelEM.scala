@@ -55,13 +55,7 @@ object MultiLevelEM {
     var sigma = Mat.eye(s) * sigma2
     var bs = Array.fill(g)(new Array[Double](s))
 
-    // Scratch buffers reused across the per-cluster E-step: the loop runs
-    // once per cluster per iteration, and allocating fresh matrices there
-    // dominates EM runtime with tens of thousands of clusters.
-    val wBuf = new Array[Double](s * s)
-    val vBuf = new Array[Double](s * s)
-    val muBuf = new Array[Double](s)
-    val bbtBuf = new Array[Double](s * s)
+    val est = new ClusterEStep(s, re, ridge)
 
     var it = 0
     while (it < iters) {
@@ -74,56 +68,8 @@ object MultiLevelEM {
       var trAcc = 0.0
       var i = 0
       while (i < g) {
-        val gi = clusterGrams(i).a
-        // wBuf := G_i / sigma2 + Sigma^{-1} (+ escalating ridge on failure)
-        val scale = {
-          var t = 0.0; var d = 0
-          while (d < s) { t += math.abs(gi(d * s + d) / sigma2 + sigmaInv(d, d)); d += 1 }
-          math.max(t / s, 1.0)
-        }
-        var lambda = math.max(ridge, 1e-12) * scale
-        var ok = false
-        var attempt = 0
-        while (!ok && attempt < 6) {
-          var k = 0
-          while (k < s * s) { wBuf(k) = gi(k) / sigma2 + sigmaInv.a(k); k += 1 }
-          var d = 0
-          while (d < s) { wBuf(d * s + d) += lambda; d += 1 }
-          java.util.Arrays.fill(vBuf, 0.0)
-          d = 0
-          while (d < s) { vBuf(d * s + d) = 1.0; d += 1 }
-          ok = Mat.eliminate(wBuf, vBuf, s)
-          lambda *= 1e3
-          attempt += 1
-        }
-        require(ok, "cluster covariance not invertible")
-        // mu_i = V_i (X_i^T r_i) / sigma2
-        var j = 0
-        while (j < s) {
-          var acc = 0.0
-          var k = 0
-          while (k < s) { acc += vBuf(j * s + k) * xtr(i)(re(k)); k += 1 }
-          muBuf(j) = acc / sigma2
-          j += 1
-        }
-        newBs(i) = muBuf.clone()
-        // bbt_i = V_i + mu mu^T; fold into Sigma and trace accumulators
-        j = 0
-        while (j < s) {
-          var k = 0
-          while (k < s) {
-            val bbt = vBuf(j * s + k) + muBuf(j) * muBuf(k)
-            bbtBuf(j * s + k) = bbt
-            sigAcc(j * s + k) += bbt
-            k += 1
-          }
-          j += 1
-        }
-        // Tr(G_i bbt_i) = sum_{jk} G_i[j,k] * bbt[k,j] (both symmetric)
-        var t = 0.0
-        var k = 0
-        while (k < s * s) { t += gi(k) * bbtBuf(k); k += 1 }
-        trAcc += t
+        trAcc += est.run(clusterGrams(i).a, xtr(i), sigma2, sigmaInv.a, sigAcc)
+        newBs(i) = est.mu.clone()
         i += 1
       }
       bs = newBs
@@ -206,6 +152,77 @@ object MultiLevelEM {
   }
   private def meanSq(a: Array[Double]): Double = {
     var s = 0.0; var i = 0; while (i < a.length) { s += a(i) * a(i); i += 1 }; s / math.max(a.length, 1)
+  }
+}
+
+/** The E-step for one cluster: the posterior mean `mu` and covariance of
+  * its random effects, folded into the M-step's Sigma accumulator. A
+  * method of its own, called once per cluster per iteration, so the JIT
+  * compiles it after a few thousand clusters rather than waiting for an
+  * on-stack replacement of the whole EM loop. The scratch buffers are
+  * reused across calls: allocating fresh matrices here dominates EM
+  * runtime with tens of thousands of clusters.
+  */
+private final class ClusterEStep(s: Int, re: Array[Int], ridge: Double) {
+  private val wBuf = new Array[Double](s * s)
+  private val vBuf = new Array[Double](s * s)
+  private val bbtBuf = new Array[Double](s * s)
+  /** The last cluster's posterior mean. */
+  val mu = new Array[Double](s)
+
+  /** `gi` is the cluster's Z^T Z, `xtr` its X^T r; adds V + mu mu^T to
+    * `sigAcc` and returns Tr(G_i (V + mu mu^T)).
+    */
+  def run(gi: Array[Double], xtr: Array[Double], sigma2: Double, sigmaInv: Array[Double],
+          sigAcc: Array[Double]): Double = {
+    // wBuf := G_i / sigma2 + Sigma^{-1} (+ escalating ridge on failure)
+    val scale = {
+      var t = 0.0; var d = 0
+      while (d < s) { t += math.abs(gi(d * s + d) / sigma2 + sigmaInv(d * s + d)); d += 1 }
+      math.max(t / s, 1.0)
+    }
+    var lambda = math.max(ridge, 1e-12) * scale
+    var ok = false
+    var attempt = 0
+    while (!ok && attempt < 6) {
+      var k = 0
+      while (k < s * s) { wBuf(k) = gi(k) / sigma2 + sigmaInv(k); k += 1 }
+      var d = 0
+      while (d < s) { wBuf(d * s + d) += lambda; d += 1 }
+      java.util.Arrays.fill(vBuf, 0.0)
+      d = 0
+      while (d < s) { vBuf(d * s + d) = 1.0; d += 1 }
+      ok = Mat.eliminate(wBuf, vBuf, s)
+      lambda *= 1e3
+      attempt += 1
+    }
+    require(ok, "cluster covariance not invertible")
+    // mu_i = V_i (X_i^T r_i) / sigma2
+    var j = 0
+    while (j < s) {
+      var acc = 0.0
+      var k = 0
+      while (k < s) { acc += vBuf(j * s + k) * xtr(re(k)); k += 1 }
+      mu(j) = acc / sigma2
+      j += 1
+    }
+    // bbt_i = V_i + mu mu^T; fold into Sigma and trace accumulators
+    j = 0
+    while (j < s) {
+      var k = 0
+      while (k < s) {
+        val bbt = vBuf(j * s + k) + mu(j) * mu(k)
+        bbtBuf(j * s + k) = bbt
+        sigAcc(j * s + k) += bbt
+        k += 1
+      }
+      j += 1
+    }
+    // Tr(G_i bbt_i) = sum_{jk} G_i[j,k] * bbt[k,j] (both symmetric)
+    var t = 0.0
+    var k = 0
+    while (k < s * s) { t += gi(k) * bbtBuf(k); k += 1 }
+    t
   }
 }
 
