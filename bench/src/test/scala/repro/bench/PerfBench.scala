@@ -82,10 +82,10 @@ class EndToEndBench extends SparkSpec {
       val m = rows.map(_.matlabMs).sum
       // The paper reports >6x vs Matlab. Our "Matlab" stand-in is a
       // JIT-compiled dense pipeline, a far stronger baseline than
-      // interpreted Matlab per-cluster slicing; at these dataset sizes the
-      // EM is dominated by per-cluster inverses that are representation-
-      // independent, so the honest expectation is parity-or-better (the
-      // representation-level wins are measured in Figures 7/15).
+      // interpreted Matlab per-cluster slicing. Its EM inverts one matrix
+      // per cluster where the factorised E-step inverts one per parent
+      // block (EXPERIMENTS.md, Figure 10, records the measured ratio); the
+      // gate asks only that Reptile not lose.
       println(f"$name: reptile $r%.1f ms vs dense-baseline $m%.1f ms (ratio ${m / r}%.2fx)")
       assert(r <= m * 1.15, s"$name: reptile $r ms should not lose to the dense pipeline $m ms")
     }

@@ -16,6 +16,25 @@ object FeatureColumn {
   val Intercept: FeatureColumn = FeatureColumn("intercept", -1, -1, _ => 1.0)
 }
 
+/** Every cluster gram `X_i^T X_i` in block-plus-rank-2 form:
+  *   G_i = D_b + U_i C_b U_i^T,  U_i = [u_i | s_b],  C_b = [[len_b, 1], [1, 0]],
+  * with b = blockOf(i). Per block: `d(b)` (m x m, row-major) holds the
+  * pair sums of the columns that vary inside the block, `s(b)` their sums,
+  * `len(b)` its row count. Per cluster: `u` (numClusters x m, cluster-major)
+  * holds the values of the columns constant inside the cluster, zero at the
+  * varying ones. An empty `u` (and `s`) means no rank-2 term: G_i = D_b.
+  */
+final case class BlockGrams(
+    blockOf: Array[Int],
+    d: Array[Array[Double]],
+    s: Array[Array[Double]],
+    len: Array[Int],
+    u: Array[Double],
+) {
+  def numBlocks: Int = d.length
+  def rank2: Boolean = u.nonEmpty
+}
+
 /** Factorised feature matrix over a list of hierarchy relations.
   *
   * The (conceptual) matrix has one row per element of the cartesian product
@@ -352,6 +371,39 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     })
   }
 
+  /** The cluster grams as per-block pair sums plus each cluster's constant
+    * column values (see BlockGrams): O(blocks * m^2 + clusters * m), where
+    * streaming every gram costs O(clusters * m^2).
+    */
+  def blockGrams: BlockGrams = {
+    val nb = blocks.size
+    val nv = varyingCols.length
+    val d = Array.tabulate(nb) { b =>
+      val out = new Array[Double](m * m)
+      var x = 0
+      while (x < nv) {
+        var y = 0
+        while (y < nv) { out(varyingCols(x) * m + varyingCols(y)) = blockPairSum(b)(x * nv + y); y += 1 }
+        x += 1
+      }
+      out
+    }
+    val s = Array.tabulate(nb) { b =>
+      val out = new Array[Double](m)
+      var x = 0
+      while (x < nv) { out(varyingCols(x)) = blockSumF(b)(x); x += 1 }
+      out
+    }
+    val u = new Array[Double](numClusters * m)
+    foreachCluster(new ClusterVisitor {
+      def visit(ci: Int, b: Int, blockStart: Int, len: Int, constVals: Array[Double]): Unit = {
+        var x = 0
+        while (x < constCols.length) { val j = constCols(x); u(ci * m + j) = constVals(j); x += 1 }
+      }
+    })
+    BlockGrams(Array.tabulate(numClusters)(_ % nb), d, s, blocks.map(_._2).toArray, u)
+  }
+
   /** X_i^T v_i for every cluster (per-cluster left multiplication). */
   def clusterXtv(v: Array[Double]): Array[Array[Double]] = {
     require(v.length == n, s"clusterXtv length mismatch")
@@ -386,22 +438,28 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   /** vertcat(X_1 a_1, ..., X_G a_G) (per-cluster right multiplication). */
   def clusterXa(as: Array[Array[Double]]): Array[Double] = {
     require(as.length == numClusters, s"clusterXa cluster count mismatch")
+    clusterXa(Mat.concat(as))
+  }
+
+  /** clusterXa over one flat buffer: a_i is `as(i*m until (i+1)*m)`. */
+  def clusterXa(as: Array[Double]): Array[Double] = {
+    require(as.length == numClusters * m, s"clusterXa length mismatch")
     val out = new Array[Double](n)
     val th = totals(H - 1)
     val nb = blocks.size
     foreachCluster(new ClusterVisitor {
       def visit(ci: Int, b: Int, bs: Int, len: Int, constVals: Array[Double]): Unit = {
-        val a = as(ci)
+        val off = ci * m
         val o = ci / nb
         val start = o * th + bs
         var base = 0.0
         var x = 0
-        while (x < constCols.length) { val j = constCols(x); base += constVals(j) * a(j); x += 1 }
+        while (x < constCols.length) { val j = constCols(x); base += constVals(j) * as(off + j); x += 1 }
         var r = 0
         while (r < len) {
           var v = base
           var y = 0
-          while (y < varyingCols.length) { val j = varyingCols(y); v += colVals(j)(bs + r) * a(j); y += 1 }
+          while (y < varyingCols.length) { val j = varyingCols(y); v += colVals(j)(bs + r) * as(off + j); y += 1 }
           out(start + r) = v
           r += 1
         }

@@ -152,18 +152,23 @@ object Mat {
   }
 
   /** In-place Gauss-Jordan: destroys `w`, writes the inverse into `inv`
-    * (which must be pre-set to the identity). Returns false on a tiny
-    * pivot. Allocation-free — the per-cluster EM loop calls this tens of
-    * thousands of times per iteration.
+    * (which must be pre-set to the identity). Returns false on a pivot
+    * below 1e-13 of `w`'s largest entry, so scaling `w` never changes the
+    * outcome. Allocation-free — the dense EM baseline calls this once per
+    * cluster per iteration.
     */
   def eliminate(w: Array[Double], inv: Array[Double], n: Int): Boolean = {
+    var maxAbs = 0.0
+    var k = 0
+    while (k < n * n) { val v = math.abs(w(k)); if (v > maxAbs) maxAbs = v; k += 1 }
+    val tiny = 1e-13 * maxAbs
     var col = 0
     while (col < n) {
       // pivot
       var p = col; var best = math.abs(w(col * n + col))
       var r = col + 1
       while (r < n) { val v = math.abs(w(r * n + col)); if (v > best) { best = v; p = r }; r += 1 }
-      if (best < 1e-13) return false
+      if (!(best > tiny)) return false
       if (p != col) { swapRows(w, n, p, col); swapRows(inv, n, p, col) }
       val piv = w(col * n + col)
       var j = 0
@@ -186,13 +191,13 @@ object Mat {
 
   /** Inverse with a small ridge on the diagonal — collinear feature columns
     * (e.g. an intercept plus a near-constant main effect) otherwise make the
-    * gram matrix singular. The ridge scales with the matrix magnitude.
+    * gram matrix singular. The ridge is relative to the matrix
+    * (`ridgeScale`), so `ridgeInverse(c * m) = ridgeInverse(m) / c`.
     */
   def ridgeInverse(m: Mat, eps: Double): Mat = {
     require(m.rows == m.cols, "inverse of non-square")
     val n = m.rows
-    val scale = math.max(math.abs(m.trace) / n, 1.0)
-    var lambda = math.max(eps, 1e-12) * scale
+    var lambda = math.max(eps, 1e-12) * ridgeScale(m.a, n)
     var attempt = 0
     while (attempt < 6) {
       val r = inverseOrNull(m + (eye(n) * lambda))
@@ -201,6 +206,16 @@ object Mat {
       attempt += 1
     }
     throw new ArithmeticException(s"matrix not invertible even with ridge $lambda")
+  }
+
+  /** The magnitude a ridge on the n x n matrix `a` is relative to: the
+    * mean absolute diagonal entry, or 1 for a zero diagonal.
+    */
+  def ridgeScale(a: Array[Double], n: Int): Double = {
+    var diag = 0.0
+    var d = 0
+    while (d < n) { diag += math.abs(a(d * n + d)); d += 1 }
+    if (diag > 0) diag / n else 1.0
   }
 
   /** log|det| via LU with partial pivoting; requires a positive determinant
@@ -235,6 +250,14 @@ object Mat {
     val b1 = r1 * n; val b2 = r2 * n
     var j = 0
     while (j < n) { val t = a(b1 + j); a(b1 + j) = a(b2 + j); a(b2 + j) = t; j += 1 }
+  }
+
+  /** The rows laid end to end in one array. */
+  def concat(rows: Array[Array[Double]]): Array[Double] = {
+    val out = new Array[Double](rows.map(_.length).sum)
+    var off = 0
+    rows.foreach { r => System.arraycopy(r, 0, out, off, r.length); off += r.length }
+    out
   }
 
   def dot(x: Array[Double], y: Array[Double]): Double = {

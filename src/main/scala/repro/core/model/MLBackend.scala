@@ -1,6 +1,6 @@
 package repro.core.model
 
-import repro.core.fmatrix.FactorizedMatrix
+import repro.core.fmatrix.{BlockGrams, FactorizedMatrix}
 import repro.core.linalg.Mat
 
 /** The six matrix-operation primitives the EM loop needs (Appendix D):
@@ -8,6 +8,9 @@ import repro.core.linalg.Mat
   * and their per-cluster counterparts. Two implementations: the factorised
   * one (Reptile) and a dense one over the fully materialized matrix (the
   * Lapack/Matlab baseline). Tests assert both produce identical numbers.
+  *
+  * The EM reads the cluster grams as `blockGrams`; `foreachClusterGram`
+  * streams them one dense m x m matrix at a time (Figure 15, tests).
   */
 trait MLBackend {
   def n: Int
@@ -17,9 +20,15 @@ trait MLBackend {
   def xtv(v: Array[Double]): Array[Double]
   def numClusters: Int
   def clusterRanges: Array[(Int, Int)]
+  def blockGrams: BlockGrams
   def foreachClusterGram(f: (Int, Mat) => Unit): Unit
   def clusterXtv(v: Array[Double]): Array[Array[Double]]
-  def clusterXa(as: Array[Array[Double]]): Array[Double]
+  /** Per-cluster right multiplication; a_i is `as(i*m until (i+1)*m)`. */
+  def clusterXa(as: Array[Double]): Array[Double]
+  final def clusterXa(as: Array[Array[Double]]): Array[Double] = {
+    require(as.length == numClusters, "clusterXa cluster count mismatch")
+    clusterXa(Mat.concat(as))
+  }
   def clusterMat(i: Int): Mat
 }
 
@@ -32,9 +41,10 @@ final class FactorizedBackend(val fm: FactorizedMatrix) extends MLBackend {
   def xtv(v: Array[Double]): Array[Double] = fm.xtv(v)
   def numClusters: Int = fm.numClusters
   def clusterRanges: Array[(Int, Int)] = fm.clusterRanges
+  def blockGrams: BlockGrams = fm.blockGrams
   def foreachClusterGram(f: (Int, Mat) => Unit): Unit = fm.foreachClusterGram(f)
   def clusterXtv(v: Array[Double]): Array[Array[Double]] = fm.clusterXtv(v)
-  def clusterXa(as: Array[Array[Double]]): Array[Double] = fm.clusterXa(as)
+  def clusterXa(as: Array[Double]): Array[Double] = fm.clusterXa(as)
   def clusterMat(i: Int): Mat = fm.clusterMat(i)
 }
 
@@ -63,6 +73,16 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
     while (i < numClusters) { val xi = clusterMat(i); f(i, xi.t * xi); i += 1 }
   }
 
+  /** Every cluster is a block of its own, `D_i = X_i^T X_i`, no rank-2
+    * term: the EM then inverts one m x m matrix per cluster, as a dense
+    * pipeline does.
+    */
+  def blockGrams: BlockGrams = {
+    val d = new Array[Array[Double]](numClusters)
+    foreachClusterGram((i, g) => d(i) = g.a)
+    BlockGrams(Array.range(0, numClusters), d, Array.empty, clusterRanges.map(_._2), Array.emptyDoubleArray)
+  }
+
   def clusterXtv(v: Array[Double]): Array[Array[Double]] = {
     val out = new Array[Array[Double]](numClusters)
     var i = 0
@@ -82,17 +102,18 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
     out
   }
 
-  def clusterXa(as: Array[Array[Double]]): Array[Double] = {
+  def clusterXa(as: Array[Double]): Array[Double] = {
+    require(as.length == numClusters * m, "clusterXa length mismatch")
     val out = new Array[Double](n)
     var i = 0
     while (i < numClusters) {
       val (s, l) = clusterRanges(i)
-      val a = as(i)
+      val off = i * m
       var r = 0
       while (r < l) {
         var acc = 0.0
         var j = 0
-        while (j < m) { acc += x(s + r, j) * a(j); j += 1 }
+        while (j < m) { acc += x(s + r, j) * as(off + j); j += 1 }
         out(s + r) = acc
         r += 1
       }

@@ -1,30 +1,40 @@
 package repro.core.model
 
+import repro.core.fmatrix.BlockGrams
 import repro.core.linalg.Mat
 
 /** Fitted multi-level model (Section 3.2 / Appendix D):
   *   y_i = X_i beta + Z_i b_i + eps_i,  b_i ~ N(0, Sigma), eps ~ N(0, s2 I)
   * with Z_i = X_i[:, reCols] — the paper's tunable random-effect matrix
   * (Section 3.3.4); `reCols` defaults to all columns (Z_i = X_i).
+  * `bs` holds the posterior means b_i in one flat buffer: b_i is
+  * `bs(i*s until (i+1)*s)` with s = reCols.length. `ridgeEscalations`
+  * counts the E-step inverses (one per parent block per iteration) that
+  * needed more than the base ridge.
   */
 final case class MultiLevelFit(
     beta: Array[Double],
     sigma: Mat,
     sigma2: Double,
-    bs: Array[Array[Double]],
+    bs: Array[Double],
     reCols: Array[Int],
     iterations: Int,
+    ridgeEscalations: Int,
 )
 
 /** EM training for the multi-level linear model over any MLBackend.
   *
-  * The loop is a straight transcription of Appendix D; all interactions
-  * with the feature matrix go through the backend's six matrix-operation
-  * primitives, so the same code trains over the factorised representation
-  * and over the materialized matrix. Restricting the random effects to a
+  * The loop follows Appendix D, with the E-step (BlockEStep) solved over
+  * the cluster grams' block-plus-rank-2 form. All interactions with the
+  * feature matrix go through the backend's matrix-operation primitives, so
+  * the same code trains over the factorised representation and over the
+  * materialized matrix. Restricting the random effects to a
   * column subset S needs no extra backend support: Z_i^T v is the S-slice
   * of X_i^T v, Z_i b is X_i b' with b' zero-padded outside S, and
   * Z_i^T Z_i is the S x S submatrix of the cluster gram.
+  *
+  * Every floor and ridge is relative to the data it guards, so fitting
+  * `c * y` gives `c *` the predictions of fitting `y`.
   */
 object MultiLevelEM {
 
@@ -42,56 +52,45 @@ object MultiLevelEM {
     require(re.forall(j => j >= 0 && j < m), "bad random-effect column index")
     val s = re.length
 
-    // Precomputed once: X^T X (+ inverse) and per-cluster Z^T Z grams.
-    val gram = bk.gram
-    val gramInv = Mat.ridgeInverse(gram, ridge)
-    val clusterGrams = new Array[Mat](g)
-    bk.foreachClusterGram((i, xtxi) => clusterGrams(i) = submatrix(xtxi, re))
+    // Precomputed once: X^T X (+ inverse) and the cluster grams' blocks.
+    val gramInv = Mat.ridgeInverse(bk.gram, ridge)
+    val est = new BlockEStep(bk.blockGrams, m, re, ridge)
+    val yScale = { val q = meanSq(y); if (q > 0) q else 1.0 }
 
     // Init: OLS beta; residual variance; Sigma = sigma2 * I.
     var beta = gramInv.mv(bk.xtv(y))
     var resid = sub(y, bk.xv(beta))
-    var sigma2 = math.max(meanSq(resid), 1e-9)
+    var sigma2 = math.max(meanSq(resid), 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
-    var bs = Array.fill(g)(new Array[Double](s))
-
-    val est = new ClusterEStep(s, re, ridge)
+    val bs = new Array[Double](g * s)
+    val padded = new Array[Double](g * m) // b_i zero-padded to X's columns
 
     var it = 0
     while (it < iters) {
-      // E-step (accumulates the M-step's Sigma and trace terms on the fly)
+      // E-step: posterior means into bs; the M-step's Sigma and trace terms
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      resid = sub(y, bk.xv(beta))
-      val xtr = bk.clusterXtv(resid) // X_i^T (y_i - X_i beta); slice to Z columns
-      val newBs = new Array[Array[Double]](g)
-      val sigAcc = new Array[Double](s * s)
-      var trAcc = 0.0
-      var i = 0
-      while (i < g) {
-        trAcc += est.run(clusterGrams(i).a, xtr(i), sigma2, sigmaInv.a, sigAcc)
-        newBs(i) = est.mu.clone()
-        i += 1
-      }
-      bs = newBs
+      val trAcc = est.run(bk.clusterXtv(resid), sigma2, sigmaInv.a, bs)
 
       // M-step
-      val zb = bk.clusterXa(bs.map(pad(_, re, m)))
+      padInto(bs, re, m, padded)
+      val zb = bk.clusterXa(padded)
       beta = gramInv.mv(bk.xtv(sub(y, zb)))
-      sigma = new Mat(s, s, sigAcc.map(_ / g))
-      val r = sub(y, bk.xv(beta))
-      val rr = Mat.dot(r, r)
-      val rzb = Mat.dot(r, zb)
-      sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12)
+      sigma = new Mat(s, s, est.sigAcc.map(_ / g))
+      resid = sub(y, bk.xv(beta))
+      val rr = Mat.dot(resid, resid)
+      val rzb = Mat.dot(resid, zb)
+      sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12 * yScale)
       it += 1
     }
-    MultiLevelFit(beta, sigma, sigma2, bs, re, iters)
+    MultiLevelFit(beta, sigma, sigma2, bs, re, iters, est.escalations)
   }
 
   /** yhat = X beta + Z b (fixed + random effects). */
   def predict(bk: MLBackend, fit: MultiLevelFit): Array[Double] = {
     val fixed = bk.xv(fit.beta)
-    val rand = bk.clusterXa(fit.bs.map(pad(_, fit.reCols, bk.m)))
-    add(fixed, rand)
+    val padded = new Array[Double](bk.numClusters * bk.m)
+    padInto(fit.bs, fit.reCols, bk.m, padded)
+    add(fixed, bk.clusterXa(padded))
   }
 
   /** Marginal Gaussian log-likelihood: per cluster,
@@ -123,24 +122,24 @@ object MultiLevelEM {
   }
 
   // ------------------------------------------------------------- helpers
-  private def submatrix(mt: Mat, idx: Array[Int]): Mat = {
-    val s = idx.length
-    val out = Mat.zeros(s, s)
-    var i = 0
-    while (i < s) { var j = 0; while (j < s) { out(i, j) = mt(idx(i), idx(j)); j += 1 }; i += 1 }
-    out
-  }
   private def subcolumns(mt: Mat, idx: Array[Int]): Mat = {
     val out = Mat.zeros(mt.rows, idx.length)
     var i = 0
     while (i < mt.rows) { var j = 0; while (j < idx.length) { out(i, j) = mt(i, idx(j)); j += 1 }; i += 1 }
     out
   }
-  private def pad(b: Array[Double], idx: Array[Int], m: Int): Array[Double] = {
-    val out = new Array[Double](m)
+  /** Scatters the flat per-cluster s-vectors `bs` into the flat per-cluster
+    * m-vectors `out` at columns `idx`; the other entries are left as they are.
+    */
+  private def padInto(bs: Array[Double], idx: Array[Int], m: Int, out: Array[Double]): Unit = {
+    val s = idx.length
+    val g = out.length / m
     var i = 0
-    while (i < idx.length) { out(idx(i)) = b(i); i += 1 }
-    out
+    while (i < g) {
+      var k = 0
+      while (k < s) { out(i * m + idx(k)) = bs(i * s + k); k += 1 }
+      i += 1
+    }
   }
   private def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
     val out = new Array[Double](a.length)
@@ -155,74 +154,229 @@ object MultiLevelEM {
   }
 }
 
-/** The E-step for one cluster: the posterior mean `mu` and covariance of
-  * its random effects, folded into the M-step's Sigma accumulator. A
-  * method of its own, called once per cluster per iteration, so the JIT
-  * compiles it after a few thousand clusters rather than waiting for an
-  * on-stack replacement of the whole EM loop. The scratch buffers are
-  * reused across calls: allocating fresh matrices here dominates EM
-  * runtime with tens of thousands of clusters.
+/** The E-step over the cluster grams' block-plus-rank-2 form (BlockGrams),
+  * in the random-effect columns Z:
+  *   W_i = G_i / sigma2 + Sigma^{-1} = A_b + U_i (C_b / sigma2) U_i^T,
+  *   A_b = Sigma^{-1} + D_b / sigma2.
+  * Each iteration inverts A_b once per parent block, with a ridge escalated
+  * on failure. The ridge is relative to Sigma^{-1}, the part of A_b every
+  * block shares: adding it to A_b adds it to every W_i alike, so both
+  * backends regularise the same matrices, and since A_b >= Sigma^{-1} it
+  * perturbs A_b no more than it perturbs Sigma^{-1}. Per cluster, Woodbury
+  * gives
+  *   V_i = W_i^{-1} = A_b^{-1} - [a t] K^{-1} [a t]^T,
+  *   a = A_b^{-1} u_i,  t = A_b^{-1} s_b,  K = sigma2 C_b^{-1} + U_i^T A_b^{-1} U_i,
+  * a 2 x 2 solve, so a cluster costs O(s^2) instead of an s x s inverse.
+  * Without a rank-2 term (the dense backend: one block per cluster) V_i is
+  * A_b^{-1} itself.
+  *
+  * The M-step needs S = sum_i (V_i + mu_i mu_i^T) and sum_i Tr(G_i (V_i +
+  * mu_i mu_i^T)). Both come from per-block sums, combined once per block:
+  *  - sum_{i in b} V_i = cnt_b A_b^{-1} - sum_{i in b} [a t] K^{-1} [a t]^T,
+  *    and t is the block's, so a cluster adds mu mu^T - k11 a a^T to one
+  *    s x s sum, k12 a to an s-vector and k22 to a scalar, with
+  *    [[k11, k12], [k12, k22]] = K^{-1};
+  *  - G_i = sigma2 (W_i - Sigma^{-1} - lambda_b I) and W_i mu_i = Z_i^T r_i
+  *    / sigma2 give Tr(G_i (V_i + mu_i mu_i^T)) =
+  *    sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T))) + mu_i^T Z_i^T r_i.
+  *
+  * The per-block and per-cluster steps are methods of their own so the JIT
+  * compiles them after a few thousand calls rather than waiting for an
+  * on-stack replacement of the loops; buffers are reused across calls.
   */
-private final class ClusterEStep(s: Int, re: Array[Int], ridge: Double) {
-  private val wBuf = new Array[Double](s * s)
-  private val vBuf = new Array[Double](s * s)
-  private val bbtBuf = new Array[Double](s * s)
-  /** The last cluster's posterior mean. */
-  val mu = new Array[Double](s)
+private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double) {
+  private val s = re.length
+  private val ss = s * s
+  private val nb = bg.numBlocks
+  private val g = bg.blockOf.length
+  private val blockOf = bg.blockOf
+  private val rank2 = bg.rank2
+  private val len: Array[Double] = bg.len.map(_.toDouble)
+  private val cnt: Array[Int] = {
+    val c = new Array[Int](nb); blockOf.foreach(b => c(b) += 1); c
+  }
+  // The blocks and constant-column values sliced to Z's columns.
+  private val dZ: Array[Double] = {
+    val out = new Array[Double](nb * ss)
+    var b = 0
+    while (b < nb) {
+      val d = bg.d(b)
+      var j = 0
+      while (j < s) { var k = 0; while (k < s) { out(b * ss + j * s + k) = d(re(j) * m + re(k)); k += 1 }; j += 1 }
+      b += 1
+    }
+    out
+  }
+  private val sZ: Array[Double] = if (rank2) Array.tabulate(nb * s)(x => bg.s(x / s)(re(x % s))) else Array.emptyDoubleArray
+  private val uZ: Array[Double] = if (rank2) Array.tabulate(g * s)(x => bg.u((x / s) * m + re(x % s))) else Array.emptyDoubleArray
+  private val r2 = if (rank2) nb else 0
 
-  /** `gi` is the cluster's Z^T Z, `xtr` its X^T r; adds V + mu mu^T to
-    * `sigAcc` and returns Tr(G_i (V + mu mu^T)).
+  // Per block and iteration: A_b^{-1}, t_b = A_b^{-1} s_b, s_b^T t_b, the
+  // ridge, and the cluster sums of mu mu^T - k11 a a^T, k12 a and k22.
+  private val aInv = new Array[Double](nb * ss)
+  private val tZ = new Array[Double](r2 * s)
+  private val stb = new Array[Double](r2)
+  private val lambda = new Array[Double](nb)
+  private val accB = new Array[Double](nb * ss)
+  private val pB = new Array[Double](r2 * s)
+  private val qB = new Array[Double](r2)
+  private var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
+  /** Block inverses so far that needed more than the base ridge. */
+  var escalations = 0
+  // Scratch.
+  private val wBuf = new Array[Double](ss)
+  private val invBuf = new Array[Double](ss)
+  private val xz = new Array[Double](s)
+  private val vx = new Array[Double](s)
+  private val aBuf = new Array[Double](s)
+  /** After `run`: sum_i (V_i + mu_i mu_i^T). */
+  val sigAcc = new Array[Double](ss)
+
+  /** Writes every cluster's posterior mean into `mu` (flat, s per cluster),
+    * fills `sigAcc` and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xtr(i)`
+    * is X_i^T r_i for the current fixed-effect residual r.
     */
-  def run(gi: Array[Double], xtr: Array[Double], sigma2: Double, sigmaInv: Array[Double],
-          sigAcc: Array[Double]): Double = {
-    // wBuf := G_i / sigma2 + Sigma^{-1} (+ escalating ridge on failure)
-    val scale = {
-      var t = 0.0; var d = 0
-      while (d < s) { t += math.abs(gi(d * s + d) / sigma2 + sigmaInv(d * s + d)); d += 1 }
-      math.max(t / s, 1.0)
-    }
-    var lambda = math.max(ridge, 1e-12) * scale
-    var ok = false
-    var attempt = 0
-    while (!ok && attempt < 6) {
-      var k = 0
-      while (k < s * s) { wBuf(k) = gi(k) / sigma2 + sigmaInv(k); k += 1 }
-      var d = 0
-      while (d < s) { wBuf(d * s + d) += lambda; d += 1 }
-      java.util.Arrays.fill(vBuf, 0.0)
-      d = 0
-      while (d < s) { vBuf(d * s + d) = 1.0; d += 1 }
-      ok = Mat.eliminate(wBuf, vBuf, s)
-      lambda *= 1e3
-      attempt += 1
-    }
-    require(ok, "cluster covariance not invertible")
-    // mu_i = V_i (X_i^T r_i) / sigma2
+  def run(xtr: Array[Array[Double]], sigma2: Double, sigmaInv: Array[Double], mu: Array[Double]): Double = {
+    java.util.Arrays.fill(accB, 0.0)
+    java.util.Arrays.fill(pB, 0.0)
+    java.util.Arrays.fill(qB, 0.0)
+    muXtr = 0.0
+    var b = 0
+    while (b < nb) { invertBlock(b, sigma2, sigmaInv); b += 1 }
+    var i = 0
+    while (i < g) { cluster(i, xtr(i), sigma2, mu); i += 1 }
+    java.util.Arrays.fill(sigAcc, 0.0)
+    var tr = 0.0
+    b = 0
+    while (b < nb) { tr += addBlock(b, sigmaInv); b += 1 }
+    sigma2 * tr + muXtr
+  }
+
+  /** Adds block b's sum_{i in b} (V_i + mu_i mu_i^T) to `sigAcc`; returns
+    * its sum of s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T)).
+    */
+  private def addBlock(b: Int, sigmaInv: Array[Double]): Double = {
+    val off = b * ss
+    val c = cnt(b).toDouble
+    var tr = c * s
     var j = 0
-    while (j < s) {
-      var acc = 0.0
-      var k = 0
-      while (k < s) { acc += vBuf(j * s + k) * xtr(re(k)); k += 1 }
-      mu(j) = acc / sigma2
-      j += 1
-    }
-    // bbt_i = V_i + mu mu^T; fold into Sigma and trace accumulators
-    j = 0
     while (j < s) {
       var k = 0
       while (k < s) {
-        val bbt = vBuf(j * s + k) + mu(j) * mu(k)
-        bbtBuf(j * s + k) = bbt
-        sigAcc(j * s + k) += bbt
+        var v = c * aInv(off + j * s + k) + accB(off + j * s + k)
+        if (rank2) {
+          val tj = tZ(b * s + j); val tk = tZ(b * s + k)
+          v -= pB(b * s + j) * tk + tj * pB(b * s + k) + qB(b) * tj * tk
+        }
+        sigAcc(j * s + k) += v
+        tr -= sigmaInv(k * s + j) * v
+        if (j == k) tr -= lambda(b) * v
         k += 1
       }
       j += 1
     }
-    // Tr(G_i bbt_i) = sum_{jk} G_i[j,k] * bbt[k,j] (both symmetric)
-    var t = 0.0
+    tr
+  }
+
+  /** A_b^{-1} (+ ridge, escalated on failure), and t_b, s_b^T t_b. */
+  private def invertBlock(b: Int, sigma2: Double, sigmaInv: Array[Double]): Unit = {
+    val off = b * ss
+    var lam = math.max(ridge, 1e-12) * Mat.ridgeScale(sigmaInv, s)
     var k = 0
-    while (k < s * s) { t += gi(k) * bbtBuf(k); k += 1 }
-    t
+    var ok = false
+    var attempt = 0
+    while (!ok && attempt < 6) {
+      k = 0
+      while (k < ss) { wBuf(k) = sigmaInv(k) + dZ(off + k) / sigma2; invBuf(k) = 0.0; k += 1 }
+      var d = 0
+      while (d < s) { wBuf(d * s + d) += lam; invBuf(d * s + d) = 1.0; d += 1 }
+      ok = Mat.eliminate(wBuf, invBuf, s)
+      if (!ok) lam *= 1e3
+      attempt += 1
+    }
+    require(ok, "cluster covariance not invertible")
+    if (attempt > 1) escalations += 1
+    System.arraycopy(invBuf, 0, aInv, off, ss)
+    lambda(b) = lam
+    if (rank2) {
+      var st = 0.0
+      var j = 0
+      while (j < s) {
+        var acc = 0.0
+        k = 0
+        while (k < s) { acc += aInv(off + j * s + k) * sZ(b * s + k); k += 1 }
+        tZ(b * s + j) = acc
+        st += sZ(b * s + j) * acc
+        j += 1
+      }
+      stb(b) = st
+    }
+  }
+
+  /** Cluster i's posterior mean into `mu`, and its terms of the block sums. */
+  private def cluster(i: Int, xtr: Array[Double], sigma2: Double, mu: Array[Double]): Unit = {
+    val b = blockOf(i)
+    val off = b * ss
+    val mo = i * s
+    var j = 0
+    while (j < s) { xz(j) = xtr(re(j)); j += 1 }
+    var i11 = 0.0
+    if (!rank2) {
+      // mu = A_b^{-1} Z_i^T r_i / sigma2
+      j = 0
+      while (j < s) {
+        var acc = 0.0
+        var k = 0
+        while (k < s) { acc += aInv(off + j * s + k) * xz(k); k += 1 }
+        mu(mo + j) = acc / sigma2
+        j += 1
+      }
+    } else {
+      val to = b * s
+      // vx = A_b^{-1} Z_i^T r_i, a = A_b^{-1} u_i; K's entries; U^T A_b^{-1} Z_i^T r_i
+      var ua = 0.0; var ut = 0.0; var p = 0.0; var q = 0.0
+      j = 0
+      while (j < s) {
+        var accX = 0.0; var accU = 0.0
+        var k = 0
+        while (k < s) { val w = aInv(off + j * s + k); accX += w * xz(k); accU += w * uZ(mo + k); k += 1 }
+        vx(j) = accX; aBuf(j) = accU
+        val u = uZ(mo + j); val t = tZ(to + j)
+        ua += u * accU; ut += u * t
+        p += accU * xz(j); q += t * xz(j)
+        j += 1
+      }
+      val k11 = ua
+      val k12 = sigma2 + ut
+      val k22 = stb(b) - len(b) * sigma2
+      val det = k11 * k22 - k12 * k12
+      i11 = k22 / det
+      val i12 = -k12 / det; val i22 = k11 / det
+      val c1 = i11 * p + i12 * q
+      val c2 = i12 * p + i22 * q
+      j = 0
+      while (j < s) {
+        val aj = aBuf(j)
+        mu(mo + j) = (vx(j) - aj * c1 - tZ(to + j) * c2) / sigma2
+        pB(to + j) += i12 * aj
+        j += 1
+      }
+      qB(b) += i22
+    }
+    // accB += mu mu^T - k11 a a^T
+    j = 0
+    while (j < s) {
+      val mj = mu(mo + j)
+      muXtr += mj * xz(j)
+      val ro = off + j * s
+      var k = 0
+      if (rank2) {
+        val wj = i11 * aBuf(j)
+        while (k < s) { accB(ro + k) += mj * mu(mo + k) - wj * aBuf(k); k += 1 }
+      } else
+        while (k < s) { accB(ro + k) += mj * mu(mo + k); k += 1 }
+      j += 1
+    }
   }
 }
 

@@ -136,6 +136,28 @@ class FactorizedMatrixSpec extends SparkSpec {
     }
   }
 
+  test("blockGrams rebuilds every cluster gram as D_b + U_i C_b U_i^T") {
+    for (seed <- 0 until 10) {
+      val fm = randomMatrix(seed + 550)
+      val m = fm.m
+      val bg = fm.blockGrams
+      assert(bg.numBlocks == fm.blocks.size && bg.rank2)
+      val denseBk = new DenseBackend(fm.materialize, fm.clusterRanges)
+      val denseBg = denseBk.blockGrams
+      assert(denseBg.numBlocks == fm.numClusters && !denseBg.rank2)
+      denseBk.foreachClusterGram { (i, g) =>
+        val b = bg.blockOf(i)
+        val u = bg.u.slice(i * m, (i + 1) * m)
+        val sb = bg.s(b)
+        val rebuilt = Mat.zeros(m, m)
+        for (j <- 0 until m; k <- 0 until m)
+          rebuilt(j, k) = bg.d(b)(j * m + k) + bg.len(b) * u(j) * u(k) + u(j) * sb(k) + sb(j) * u(k)
+        assert(rebuilt.maxAbsDiff(g) < 1e-8, s"cluster $i seed $seed")
+        assert(new Mat(m, m, denseBg.d(denseBg.blockOf(i))).maxAbsDiff(g) == 0.0)
+      }
+    }
+  }
+
   test("clusterXtv matches dense per-cluster left multiplication") {
     for (seed <- 0 until 10) {
       val fm = randomMatrix(seed + 600)

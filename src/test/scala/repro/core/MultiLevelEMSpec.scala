@@ -9,8 +9,12 @@ import scala.util.Random
 
 class MultiLevelEMSpec extends SparkSpec {
 
-  /** time x geo(district -> village): clusters = (time, district). */
-  private def fixture(nT: Int = 4, nD: Int = 3, nV: Int = 5, seed: Long = 0) = {
+  /** time x geo(district -> village): clusters = (time, district), one
+    * parent block per district; `fv` (column 3, times `scale`) varies
+    * inside a cluster. `collinear` adds `fv2 = 2 fv`, a second varying column.
+    */
+  private def fixture(nT: Int = 4, nD: Int = 3, nV: Int = 5, seed: Long = 0, collinear: Boolean = false,
+                      scale: Double = 1.0) = {
     val rng = new Random(seed)
     val time = HierRelation("time", Seq("t"), (0 until nT).map(t => Seq(f"t$t%02d")))
     val geo = HierRelation("geo", Seq("d", "v"),
@@ -21,8 +25,28 @@ class MultiLevelEMSpec extends SparkSpec {
       FeatureColumn.Intercept,
       FeatureColumn("ft", 0, 0, feat),
       FeatureColumn("fd", 1, 0, feat),
-      FeatureColumn("fv", 1, 1, feat))
-    new FactorizedMatrix(Vector(time, geo), cols)
+      FeatureColumn("fv", 1, 1, v => scale * feat(v)))
+    val extra = if (collinear) Vector(FeatureColumn("fv2", 1, 1, v => 2.0 * scale * feat(v))) else Vector.empty
+    new FactorizedMatrix(Vector(time, geo), cols ++ extra)
+  }
+
+  private def dense(fm: FactorizedMatrix) = new DenseBackend(fm.materialize, fm.clusterRanges)
+
+  /** The factorised and dense fits agree: beta, sigma2 and Sigma to 1e-6,
+    * predictions to 1e-5.
+    */
+  private def assertSameFit(fm: FactorizedMatrix, y: Array[Double], iters: Int, reCols: Option[Array[Int]]): Unit = {
+    val fb = new FactorizedBackend(fm)
+    val db = dense(fm)
+    val f1 = MultiLevelEM.fit(fb, y, iters, reCols = reCols)
+    val f2 = MultiLevelEM.fit(db, y, iters, reCols = reCols)
+    val what = reCols.map(_.mkString("reCols ", ",", "")).getOrElse("all columns")
+    f1.beta.zip(f2.beta).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6, s"beta, $what") }
+    assert(math.abs(f1.sigma2 - f2.sigma2) < 1e-6, s"sigma2, $what")
+    assert(f1.sigma.maxAbsDiff(f2.sigma) < 1e-6, s"Sigma, $what")
+    MultiLevelEM.predict(fb, f1).zip(MultiLevelEM.predict(db, f2)).foreach { case (a, b) =>
+      assert(math.abs(a - b) < 1e-5, s"prediction, $what")
+    }
   }
 
   private def synthY(fm: FactorizedMatrix, beta: Array[Double], reSd: Double, noiseSd: Double, seed: Long): Array[Double] = {
@@ -36,16 +60,70 @@ class MultiLevelEMSpec extends SparkSpec {
   }
 
   test("factorized and dense backends produce identical EM fits") {
+    // Three parent blocks; Z with and without the varying column fv (3).
     val fm = fixture()
     val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 1)
-    val f1 = MultiLevelEM.fit(new FactorizedBackend(fm), y, iters = 8)
-    val f2 = MultiLevelEM.fit(new DenseBackend(fm.materialize, fm.clusterRanges), y, iters = 8)
-    f1.beta.zip(f2.beta).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6) }
-    assert(math.abs(f1.sigma2 - f2.sigma2) < 1e-6)
-    assert(f1.sigma.maxAbsDiff(f2.sigma) < 1e-6)
-    val p1 = MultiLevelEM.predict(new FactorizedBackend(fm), f1)
-    val p2 = MultiLevelEM.predict(new DenseBackend(fm.materialize, fm.clusterRanges), f2)
-    p1.zip(p2).foreach { case (a, b) => assert(math.abs(a - b) < 1e-5) }
+    for (re <- Seq(None, Some(Array(0, 3)), Some(Array(3)), Some(Array(0, 1, 2)), Some(Array(1, 2))))
+      assertSameFit(fm, y, 8, re)
+  }
+
+  test("factorized and dense fits agree with a collinear pair of varying columns") {
+    val fm = fixture(seed = 23, collinear = true)
+    val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.4, 0.2), reSd = 0.5, noiseSd = 0.2, seed = 24)
+    for (re <- Seq(None, Some(Array(0, 3, 4)), Some(Array(3, 4))))
+      assertSameFit(fm, y, 8, re)
+  }
+
+  test("a large collinear pair in Z drives the per-block ridge escalation; the backends still agree") {
+    // fv2 = 2 fv scaled by 1e7: along fv the data's precision D_b / sigma2
+    // is ~1e13 times the prior's, which holds the direction fv - fv2/2 no
+    // data sees, so A_b = Sigma^{-1} + D_b / sigma2 is singular to working
+    // precision under the base ridge.
+    for (seed <- 0 until 3) {
+      val fm = fixture(seed = seed, collinear = true, scale = 1e7)
+      val rng = new Random(seed)
+      val y = Array.fill(fm.n)(rng.nextGaussian() * 0.2)
+      fm.clusterRanges.foreach { case (s, l) =>
+        val b = rng.nextGaussian()
+        (s until s + l).foreach(r => y(r) += 1.0 + b)
+      }
+      for (re <- Seq(Array(3, 4), Array(0, 3, 4))) {
+        Seq(new FactorizedBackend(fm), dense(fm)).foreach { bk =>
+          val esc = MultiLevelEM.fit(bk, y, 8, reCols = Some(re)).ridgeEscalations
+          assert(esc > 0, s"${bk.getClass.getSimpleName} seed $seed: no escalation")
+        }
+        assertSameFit(fm, y, 8, Some(re))
+      }
+    }
+  }
+
+  test("fitting c * y predicts c times the fit of y (scale equivariance)") {
+    val fm = fixture(nT = 8, seed = 25)
+    assert(fm.n == 120 && fm.m == 4)
+    val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 26)
+    val bk = new FactorizedBackend(fm)
+    for (re <- Seq(None, Some(Array(0)))) {
+      val base = MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, 10, reCols = re))
+      val norm = base.map(math.abs).max
+      for (c <- Seq(1e-6, 1e-3, 1e3, 1e6)) {
+        val scaled = MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y.map(_ * c), 10, reCols = re))
+        val err = scaled.zip(base).map { case (p, q) => math.abs(p / c - q) }.max
+        assert(err <= 1e-6 * norm, s"c=$c reCols=${re.map(_.mkString(",")).getOrElse("all")}: error $err")
+      }
+    }
+  }
+
+  test("the marginal log-likelihood never decreases over EM iterations") {
+    for (seed <- 0 until 4; re <- Seq(None, Some(Array(0)))) {
+      val fm = fixture(seed = 30 + seed)
+      val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.6, noiseSd = 0.3, seed = 40 + seed)
+      val bk = new FactorizedBackend(fm)
+      val ll = (1 to 15).map(k => MultiLevelEM.logLikelihood(bk, y, MultiLevelEM.fit(bk, y, k, reCols = re)))
+      (1 until ll.size).foreach { k =>
+        assert(ll(k) >= ll(k - 1) - 1e-9,
+          s"seed $seed reCols ${re.map(_.mkString(",")).getOrElse("all")}: lnL ${ll(k - 1)} -> ${ll(k)} at iteration ${k + 1}")
+      }
+    }
   }
 
   test("EM recovers fixed effects on clean data") {

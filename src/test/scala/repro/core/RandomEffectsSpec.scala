@@ -14,17 +14,21 @@ import scala.util.Random
 class RandomEffectsSpec extends SparkSpec {
   import spark.implicits._
 
-  private def fixture(seed: Long) = {
+  /** Four parent blocks (districts); `fv` (column 2) varies inside a
+    * cluster. `collinear` adds `fv2 = -fv`, a second varying column.
+    */
+  private def fixture(seed: Long, collinear: Boolean = false) = {
     val rng = new Random(seed)
     val time = HierRelation("time", Seq("t"), (0 until 6).map(t => Seq(f"t$t%02d")))
     val geo = HierRelation("geo", Seq("d", "v"),
       for { d <- 0 until 4; v <- 0 until 6 } yield Seq(s"d$d", s"d$d-v$v"))
     val fmap = scala.collection.mutable.HashMap.empty[String, Double]
     def feat(v: String): Double = fmap.getOrElseUpdate(v, rng.nextGaussian())
+    val extra = if (collinear) Vector(FeatureColumn("fv2", 1, 1, v => -feat(v))) else Vector.empty
     new FactorizedMatrix(Vector(time, geo), Vector(
       FeatureColumn.Intercept,
       FeatureColumn("ft", 0, 0, feat),
-      FeatureColumn("fv", 1, 1, feat)))
+      FeatureColumn("fv", 1, 1, feat)) ++ extra)
   }
 
   test("reCols = all columns reproduces the default fit") {
@@ -63,6 +67,23 @@ class RandomEffectsSpec extends SparkSpec {
     val f2 = MultiLevelEM.fit(new DenseBackend(fm.materialize, fm.clusterRanges), y, 5, reCols = Some(Array(0)))
     f1.beta.zip(f2.beta).foreach { case (a, b) => assert(math.abs(a - b) < 1e-8) }
     assert(math.abs(f1.sigma2 - f2.sigma2) < 1e-8)
+  }
+
+  test("subset fits agree between backends with the varying column in or out of Z, and a collinear pair") {
+    for (collinear <- Seq(false, true)) {
+      val fm = fixture(11, collinear)
+      assert(fm.blocks.size == 4)
+      val rng = new Random(12)
+      val y = Array.fill(fm.n)(rng.nextDouble())
+      val res = Seq(Array(0, 1), Array(0, 2), Array(2)) ++ (if (collinear) Seq(Array(0, 2, 3)) else Nil)
+      for (re <- res) {
+        val f1 = MultiLevelEM.fit(new FactorizedBackend(fm), y, 5, reCols = Some(re))
+        val f2 = MultiLevelEM.fit(new DenseBackend(fm.materialize, fm.clusterRanges), y, 5, reCols = Some(re))
+        val what = s"reCols ${re.mkString(",")} collinear $collinear"
+        f1.beta.zip(f2.beta).foreach { case (a, b) => assert(math.abs(a - b) < 1e-8, what) }
+        assert(math.abs(f1.sigma2 - f2.sigma2) < 1e-8, what)
+      }
+    }
   }
 
   test("subset AIC uses the smaller parameter count") {
