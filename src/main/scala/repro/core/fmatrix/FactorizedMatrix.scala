@@ -435,13 +435,9 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     out
   }
 
-  /** vertcat(X_1 a_1, ..., X_G a_G) (per-cluster right multiplication). */
-  def clusterXa(as: Array[Array[Double]]): Array[Double] = {
-    require(as.length == numClusters, s"clusterXa cluster count mismatch")
-    clusterXa(Mat.concat(as))
-  }
-
-  /** clusterXa over one flat buffer: a_i is `as(i*m until (i+1)*m)`. */
+  /** vertcat(X_1 a_1, ..., X_G a_G) (per-cluster right multiplication);
+    * a_i is `as(i*m until (i+1)*m)`.
+    */
   def clusterXa(as: Array[Double]): Array[Double] = {
     require(as.length == numClusters * m, s"clusterXa length mismatch")
     val out = new Array[Double](n)

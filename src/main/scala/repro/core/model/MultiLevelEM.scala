@@ -168,7 +168,11 @@ object MultiLevelEM {
   *   a = A_b^{-1} u_i,  t = A_b^{-1} s_b,  K = sigma2 C_b^{-1} + U_i^T A_b^{-1} U_i,
   * a 2 x 2 solve, so a cluster costs O(s^2) instead of an s x s inverse.
   * Without a rank-2 term (the dense backend: one block per cluster) V_i is
-  * A_b^{-1} itself.
+  * A_b^{-1} itself, and the rank-2 arithmetic is skipped. Running it on a
+  * zero u_i and s_b gives the same numbers bit for bit, but adds ~4 s^2
+  * flops per cluster to the dense inverse's ~2 s^3: at s = 6 the dense fit
+  * took ~15% longer (5 of 5 interleaved runs, 4-core host), which would
+  * flatter the factorised side in Figure 10.
   *
   * The M-step needs S = sum_i (V_i + mu_i mu_i^T) and sum_i Tr(G_i (V_i +
   * mu_i mu_i^T)). Both come from per-block sums, combined once per block:

@@ -74,7 +74,7 @@ object MatrixOpsExp {
       val natClMs = denseBk.map(bk => Timing.ms(bk.clusterXtv(v))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterLeftMult", natClMs, factClMs)
 
-      val as = Array.fill(g)(Array.fill(m)(rng.nextDouble()))
+      val as = Array.fill(g * m)(rng.nextDouble())
       val (_, factCrMs) = Timing.ms(fm.clusterXa(as))
       val natCrMs = denseBk.map(bk => Timing.ms(bk.clusterXa(as))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterRightMult", natCrMs, factCrMs)

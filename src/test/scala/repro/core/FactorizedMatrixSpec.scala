@@ -176,7 +176,7 @@ class FactorizedMatrixSpec extends SparkSpec {
     for (seed <- 0 until 10) {
       val fm = randomMatrix(seed + 700)
       val rng = new Random(seed)
-      val as = Array.fill(fm.numClusters)(Array.fill(fm.m)(rng.nextDouble() * 2 - 1))
+      val as = Array.fill(fm.numClusters * fm.m)(rng.nextDouble() * 2 - 1)
       val bk = new DenseBackend(fm.materialize, fm.clusterRanges)
       val expect = bk.clusterXa(as)
       val got = fm.clusterXa(as)
