@@ -208,6 +208,42 @@ object Mat {
     throw new ArithmeticException(s"matrix not invertible even with ridge $lambda")
   }
 
+  /** Inverse with a ridge relative to each diagonal entry (to `ridgeScale`
+    * where an entry is zero), for a gram matrix of feature columns in
+    * arbitrary units. With D that diagonal it inverts
+    * D^{1/2} (S + lambda I) D^{1/2}, S = D^{-1/2} m D^{-1/2}, eliminating on
+    * S, whose unit diagonal keeps the pivot test free of the columns'
+    * scales. So for a positive diagonal E,
+    * `scaledRidgeInverse(E m E) = E^-1 scaledRidgeInverse(m) E^-1`: scaling
+    * a feature column scales its coefficient and nothing else. With
+    * `ridgeInverse`'s ridge, relative to the mean diagonal, main effects
+    * nearly collinear with the intercept moved the predictions of a
+    * ranking by 2e-3 relative when the measure, and so the main effects,
+    * was scaled by 1e-3.
+    */
+  def scaledRidgeInverse(m: Mat, eps: Double): Mat = {
+    require(m.rows == m.cols, "inverse of non-square")
+    val n = m.rows
+    val zeroScale = ridgeScale(m.a, n)
+    val sq = Array.tabulate(n) { d => val v = math.abs(m.a(d * n + d)); math.sqrt(if (v > 0) v else zeroScale) }
+    var lambda = math.max(eps, 1e-12)
+    var attempt = 0
+    while (attempt < 6) {
+      val w = Array.tabulate(n * n)(k => m.a(k) / (sq(k / n) * sq(k % n)))
+      var d = 0
+      while (d < n) { w(d * n + d) += lambda; d += 1 }
+      val inv = eye(n).a
+      if (eliminate(w, inv, n)) {
+        var k = 0
+        while (k < n * n) { inv(k) /= sq(k / n) * sq(k % n); k += 1 }
+        return new Mat(n, n, inv)
+      }
+      lambda *= 1e3
+      attempt += 1
+    }
+    throw new ArithmeticException(s"matrix not invertible even with ridge $lambda")
+  }
+
   /** The magnitude a ridge on the n x n matrix `a` is relative to: the
     * mean absolute diagonal entry, or 1 for a zero diagonal.
     */

@@ -3,14 +3,16 @@ package repro.core.model
 import repro.core.fmatrix.{BlockGrams, FactorizedMatrix}
 import repro.core.linalg.Mat
 
-/** The six matrix-operation primitives the EM loop needs (Appendix D):
-  * gram `X^T X`, right multiplication `X a`, left multiplication `X^T v`,
-  * and their per-cluster counterparts. Two implementations: the factorised
-  * one (Reptile) and a dense one over the fully materialized matrix (the
+/** The six matrix-operation primitives of Appendix D's EM: gram `X^T X`,
+  * right multiplication `X a`, left multiplication `X^T v`, and their
+  * per-cluster counterparts. Two implementations: the factorised one
+  * (Reptile) and a dense one over the fully materialized matrix (the
   * Lapack/Matlab baseline). Tests assert both produce identical numbers.
   *
-  * The EM reads the cluster grams as `blockGrams`; `foreachClusterGram`
-  * streams them one dense m x m matrix at a time (Figure 15, tests).
+  * The EM reads the cluster grams as `blockGrams` and takes y's
+  * statistics with one `xtv` and one `clusterXtv` per fit; `xv` and
+  * `clusterXa` serve predictions. `foreachClusterGram` streams the cluster
+  * grams one dense m x m matrix at a time (Figure 15, tests).
   */
 trait MLBackend {
   def n: Int

@@ -25,13 +25,27 @@ final case class MultiLevelFit(
 /** EM training for the multi-level linear model over any MLBackend.
   *
   * The loop follows Appendix D, with the E-step (BlockEStep) solved over
-  * the cluster grams' block-plus-rank-2 form. All interactions with the
-  * feature matrix go through the backend's matrix-operation primitives, so
-  * the same code trains over the factorised representation and over the
-  * materialized matrix. Restricting the random effects to a
-  * column subset S needs no extra backend support: Z_i^T v is the S-slice
-  * of X_i^T v, Z_i b is X_i b' with b' zero-padded outside S, and
-  * Z_i^T Z_i is the S x S submatrix of the cluster gram.
+  * the cluster grams' block-plus-rank-2 form. y enters only through
+  * statistics taken once per fit: X^T y, every X_i^T y_i and the initial
+  * residual sum of squares. Every per-iteration term is then a product of
+  * the gram, the cluster grams G_i (ClusterGrams) and these statistics, so
+  * the loop touches no n-length array. With r = y - X beta and b~_i the
+  * posterior mean b_i zero-padded to X's columns (Z_i b_i = X_i b~_i):
+  *  - E-step input: X_i^T r_i = X_i^T y_i - G_i beta;
+  *  - M-step: X^T Z b = sum_i G_i b~_i, beta = (X^T X)^{-1} (X^T y - X^T Z b);
+  *  - r^T Z b = sum_i b~_i^T X_i^T y_i - beta^T X^T Z b;
+  *  - |r|^2 is updated by Delta = beta_new - beta_old:
+  *    |r_new|^2 = |r_old|^2 - 2 Delta^T (X^T y - X^T X beta_old) + Delta^T X^T X Delta.
+  *    The expanded |y|^2 - 2 beta^T X^T y + beta^T X^T X beta would carry
+  *    the rounding of |y|^2 into |r|^2, losing log10(|y|^2 / |r|^2) digits
+  *    (12 with y offset by 1e6 noise sd); the update's terms are of the
+  *    size of the residual and of Delta.
+  *
+  * The same loop runs over the factorised representation and over the
+  * materialized matrix: the backend supplies X^T y, X_i^T y_i, the gram and
+  * the cluster grams. Restricting the random effects to a column subset S
+  * needs no extra backend support: Z_i^T r_i is the S-slice of X_i^T r_i
+  * and Z_i^T Z_i is the S x S submatrix of the cluster gram.
   *
   * Every floor and ridge is relative to the data it guards, so fitting
   * `c * y` gives `c *` the predictions of fitting `y`.
@@ -52,33 +66,42 @@ object MultiLevelEM {
     require(re.forall(j => j >= 0 && j < m), "bad random-effect column index")
     val s = re.length
 
-    // Precomputed once: X^T X (+ inverse) and the cluster grams' blocks.
-    val gramInv = Mat.ridgeInverse(bk.gram, ridge)
-    val est = new BlockEStep(bk.blockGrams, m, re, ridge)
+    // Precomputed once: X^T X (+ inverse), the cluster grams, and y's
+    // statistics X^T y and X_i^T y_i.
+    val gram = bk.gram
+    val gramInv = Mat.scaledRidgeInverse(gram, ridge)
+    val bg = bk.blockGrams
+    val grams = new ClusterGrams(bg, m, re)
+    val est = new BlockEStep(bg, m, re, ridge)
+    val xty = bk.xtv(y)
+    val xiy = bk.clusterXtv(y)
     val yScale = { val q = meanSq(y); if (q > 0) q else 1.0 }
 
     // Init: OLS beta; residual variance; Sigma = sigma2 * I.
-    var beta = gramInv.mv(bk.xtv(y))
-    var resid = sub(y, bk.xv(beta))
-    var sigma2 = math.max(meanSq(resid), 1e-9 * yScale)
+    var beta = gramInv.mv(xty)
+    var rr = sqDist(y, bk.xv(beta)) // |y - X beta|^2, updated per iteration
+    var sigma2 = math.max(rr / bk.n, 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
-    val padded = new Array[Double](g * m) // b_i zero-padded to X's columns
+    val xtr = Array.fill(g)(new Array[Double](m)) // X_i^T r_i
+    val xtzb = new Array[Double](m)                // X^T Z b
 
     var it = 0
     while (it < iters) {
       // E-step: posterior means into bs; the M-step's Sigma and trace terms
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      val trAcc = est.run(bk.clusterXtv(resid), sigma2, sigmaInv.a, bs)
+      grams.residualXtv(xiy, beta, xtr)
+      val trAcc = est.run(xtr, sigma2, sigmaInv.a, bs)
 
       // M-step
-      padInto(bs, re, m, padded)
-      val zb = bk.clusterXa(padded)
-      beta = gramInv.mv(bk.xtv(sub(y, zb)))
+      val ybz = grams.xtzb(bs, xiy, xtzb) // sum_i b~_i^T X_i^T y_i
+      val xtrOld = sub(xty, gram.mv(beta)) // X^T r at the old beta
+      val next = gramInv.mv(sub(xty, xtzb))
+      val delta = sub(next, beta)
+      rr += Mat.dot(delta, gram.mv(delta)) - 2.0 * Mat.dot(delta, xtrOld)
+      beta = next
       sigma = new Mat(s, s, est.sigAcc.map(_ / g))
-      resid = sub(y, bk.xv(beta))
-      val rr = Mat.dot(resid, resid)
-      val rzb = Mat.dot(resid, zb)
+      val rzb = ybz - Mat.dot(beta, xtzb)
       sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12 * yScale)
       it += 1
     }
@@ -151,6 +174,109 @@ object MultiLevelEM {
   }
   private def meanSq(a: Array[Double]): Double = {
     var s = 0.0; var i = 0; while (i < a.length) { s += a(i) * a(i); i += 1 }; s / math.max(a.length, 1)
+  }
+  private def sqDist(a: Array[Double], b: Array[Double]): Double = {
+    var s = 0.0; var i = 0; while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }; s
+  }
+}
+
+/** Products with the cluster grams G_i in their block-plus-rank-2 form
+  * (BlockGrams), G_i = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T, so a
+  * product costs O(m) per cluster plus O(m^2) per block instead of O(m^2)
+  * per cluster. Without a rank-2 term (the dense backend) G_i = D_i.
+  * Random-effect vectors b_i arrive in Z's columns `re`, flat s per
+  * cluster; b~_i is b_i zero-padded to X's columns.
+  */
+private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
+  private val s = re.length
+  private val nb = bg.numBlocks
+  private val g = bg.blockOf.length
+  private val blockOf = bg.blockOf
+  private val rank2 = bg.rank2
+  private val u = bg.u
+  private val len: Array[Double] = bg.len.map(_.toDouble)
+  private val sb: Array[Double] = if (rank2) bg.s.flatten else Array.emptyDoubleArray // nb x m
+  private val dv = new Array[Double](nb * m)   // per block: D_b beta
+  private val sv = new Array[Double](nb)       // per block: s_b^T beta
+  private val bSum = new Array[Double](nb * s) // per block: sum_{i in b} b_i
+  private val ubSum = new Array[Double](nb)    // per block: sum_{i in b} u_i^T b~_i
+
+  /** out(i) = X_i^T y_i - G_i beta: X_i^T r_i for r = y - X beta. */
+  def residualXtv(xiy: Array[Array[Double]], beta: Array[Double], out: Array[Array[Double]]): Unit = {
+    var b = 0
+    while (b < nb) {
+      val d = bg.d(b)
+      var st = 0.0
+      var j = 0
+      while (j < m) {
+        var acc = 0.0; var k = 0
+        while (k < m) { acc += d(j * m + k) * beta(k); k += 1 }
+        dv(b * m + j) = acc
+        if (rank2) st += sb(b * m + j) * beta(j)
+        j += 1
+      }
+      sv(b) = st
+      b += 1
+    }
+    var i = 0
+    while (i < g) {
+      val b = blockOf(i)
+      val yi = xiy(i); val o = out(i)
+      var j = 0
+      if (rank2) {
+        var ub = 0.0
+        while (j < m) { ub += u(i * m + j) * beta(j); j += 1 }
+        val cu = len(b) * ub + sv(b)
+        j = 0
+        while (j < m) { o(j) = yi(j) - dv(b * m + j) - u(i * m + j) * cu - sb(b * m + j) * ub; j += 1 }
+      } else
+        while (j < m) { o(j) = yi(j) - dv(b * m + j); j += 1 }
+      i += 1
+    }
+  }
+
+  /** Fills `out` with sum_i G_i b~_i = X^T Z b; returns sum_i b~_i^T X_i^T y_i. */
+  def xtzb(bs: Array[Double], xiy: Array[Array[Double]], out: Array[Double]): Double = {
+    java.util.Arrays.fill(out, 0.0)
+    java.util.Arrays.fill(bSum, 0.0)
+    java.util.Arrays.fill(ubSum, 0.0)
+    var by = 0.0
+    var i = 0
+    while (i < g) {
+      val b = blockOf(i)
+      val yi = xiy(i)
+      var ub = 0.0; var sbb = 0.0
+      var k = 0
+      while (k < s) {
+        val v = bs(i * s + k)
+        bSum(b * s + k) += v
+        by += v * yi(re(k))
+        if (rank2) { ub += u(i * m + re(k)) * v; sbb += sb(b * m + re(k)) * v }
+        k += 1
+      }
+      if (rank2) {
+        // u_i (len_b u_i^T b~_i + s_b^T b~_i); the s_b u_i^T b~_i term is summed per block
+        ubSum(b) += ub
+        val c = len(b) * ub + sbb
+        var j = 0
+        while (j < m) { out(j) += u(i * m + j) * c; j += 1 }
+      }
+      i += 1
+    }
+    var b = 0
+    while (b < nb) {
+      val d = bg.d(b)
+      var j = 0
+      while (j < m) {
+        var acc = 0.0; var k = 0
+        while (k < s) { acc += d(j * m + re(k)) * bSum(b * s + k); k += 1 }
+        if (rank2) acc += sb(b * m + j) * ubSum(b)
+        out(j) += acc
+        j += 1
+      }
+      b += 1
+    }
+    by
   }
 }
 
@@ -391,7 +517,7 @@ object LinearModel {
   final case class LinearFit(beta: Array[Double], sigma2: Double)
 
   def fit(bk: MLBackend, y: Array[Double], ridge: Double = 1e-8): LinearFit = {
-    val beta = Mat.ridgeInverse(bk.gram, ridge).mv(bk.xtv(y))
+    val beta = Mat.scaledRidgeInverse(bk.gram, ridge).mv(bk.xtv(y))
     val pred = bk.xv(beta)
     var rss = 0.0
     var i = 0

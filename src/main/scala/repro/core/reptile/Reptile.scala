@@ -113,10 +113,23 @@ object Drilldown {
   def attrsOf(used: Vector[(Dimension, Int)]): Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep) }
 
   /** Reads collected statistics rows: the values of `attrsOf(used)` at
-    * columns `cols`, then count, mean, std and sum from column `statBase` on.
+    * columns `cols`, then count, mean, std, sum and the count of non-null
+    * measures from column `statBase` on. A null measure would make
+    * count x mean overstate the group's sum, and a NaN or infinite one
+    * would make its statistics NaN, so either is rejected, naming `measure`.
     */
-  def fromRows(used: Vector[(Dimension, Int)], rows: Seq[Row], cols: Seq[Int], statBase: Int): Drilldown = {
+  def fromRows(used: Vector[(Dimension, Int)], rows: Seq[Row], cols: Seq[Int], statBase: Int,
+               measure: String): Drilldown = {
     val attrs = attrsOf(used)
+    rows.foreach { r =>
+      val nulls = r.getDouble(statBase) - r.getLong(statBase + 4)
+      if (nulls > 0)
+        throw new IllegalArgumentException(s"measure $measure is null in ${nulls.toLong} rows of group " +
+          HierRelation.keyOf(r, cols, attrs).mkString("(", ", ", ")"))
+      if (!java.lang.Double.isFinite(r.getDouble(statBase + 1)))
+        throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group " +
+          HierRelation.keyOf(r, cols, attrs).mkString("(", ", ", ")"))
+    }
     new Drilldown(used,
       rows.map(r => HierRelation.keyOf(r, cols, attrs)).toVector,
       rows.map(r => GroupStats(r.getDouble(statBase), r.getDouble(statBase + 1), r.getDouble(statBase + 2))).toVector,
@@ -140,6 +153,12 @@ object Reptile {
     coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
     sum(col(measure)).cast("double").as("stat_sum"),
   )
+
+  /** The statistics the data step collects: `statColumns` and the count of
+    * non-null measures, which `Drilldown.fromRows` checks.
+    */
+  private def collectedColumns(measure: String): Seq[Column] =
+    statColumns(measure) :+ count(col(measure)).as("stat_measured")
 
   /** Group statistics for a drill-down: one Spark groupBy over the fact
     * table computing the whole distributive set (count / mean / std / sum).
@@ -165,7 +184,9 @@ object Reptile {
   /** The data step of one drill-down: one Spark aggregation, collected. */
   def collectDrilldown(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Drilldown = {
     val attrs = Drilldown.attrsOf(used)
-    Drilldown.fromRows(used, drilldownStats(fact, attrs, measure).collect().toSeq, attrs.indices, attrs.size)
+    val stats = collectedColumns(measure)
+    val rows = fact.groupBy(attrs.map(col): _*).agg(stats.head, stats.tail: _*).collect()
+    Drilldown.fromRows(used, rows.toSeq, attrs.indices, attrs.size, measure)
   }
 
   /** The data step of several drill-downs in one scan: a `groupingSets`
@@ -180,7 +201,7 @@ object Reptile {
     // a bit is set when its column is grouped out.
     def groupingId(attrs: Seq[String]): Long =
       cols.foldLeft(0L)((id, c) => (id << 1) | (if (attrs.contains(c)) 0L else 1L))
-    val stats = statColumns(measure)
+    val stats = collectedColumns(measure)
     val rows = fact
       .groupingSets(attrLists.distinctBy(_.toSet).map(_.map(col)), cols.map(col): _*)
       .agg(grouping_id().as("grouping_id"), stats: _*)
@@ -188,7 +209,7 @@ object Reptile {
     val bySet = rows.groupBy(_.getLong(cols.size))
     useds.zip(attrLists).map { case (used, attrs) =>
       Drilldown.fromRows(used, bySet.getOrElse(groupingId(attrs), Array.empty[Row]).toSeq,
-        attrs.map(cols.indexOf), cols.size + 1)
+        attrs.map(cols.indexOf), cols.size + 1, measure)
     }
   }
 
@@ -298,6 +319,8 @@ object Reptile {
   /** y over the full cartesian product of parallel groups (the paper's
     * worst case, Section 5.1.4: even empty groups participate). Empty
     * groups default to 0 for count/sum and to the global mean for mean.
+    * Fails with an IllegalArgumentException, before allocating, when y and
+    * its prediction vectors cannot fit in the heap (`requireHeapFor`).
     */
   def buildY(
       fm: FactorizedMatrix,
@@ -319,6 +342,7 @@ object Reptile {
         else xform(observed.values.map(_.mean).sum / observed.size)
       case _ => xform(0.0)
     }
+    requireHeapFor(fm.n)
     val y = Array.fill(fm.n)(default)
     // Attribute offsets of each hierarchy inside the flat key.
     val offsets = hiers.scanLeft(0)((acc, h) => acc + h.depth)
@@ -329,6 +353,20 @@ object Reptile {
       y(fm.indexOf(rowIdxs)) = xform(stat(gs))
     }
     y
+  }
+
+  /** n-length double vectors a model holds at once: y, and while predicting
+    * X beta, Z b and their sum.
+    */
+  private val VectorsPerModel = 4
+
+  /** Rejects a matrix whose n-length vectors exceed the JVM's maximum heap. */
+  private def requireHeapFor(n: Int): Unit = {
+    val bytes = 8L * VectorsPerModel * n
+    val max = Runtime.getRuntime.maxMemory
+    if (bytes > max)
+      throw new IllegalArgumentException(s"the model's matrix has n = $n rows: y and its prediction vectors " +
+        s"need $bytes bytes, more than the maximum heap of $max bytes")
   }
 
   /** Random-effect column subset per the config. */

@@ -9,7 +9,9 @@ import scala.util.Random
 /** Figure 7 (matrix operations) and Figure 15 (per-cluster variants):
   * factorised implementations vs the dense "Lapack" implementations over
   * the fully materialized matrix, varying the number of hierarchies d.
-  * X has shape w^d x (3 d) with w = 10, as in the paper.
+  * X has shape w^d x (3 d) with w = 10, as in the paper. Every cell is the
+  * median of 5 timings, each after a GC (`Timing.medianMs`): single
+  * timings of the same code spread 0.66x-2.29x at d = 6.
   */
 object MatrixOpsExp {
 
@@ -27,27 +29,27 @@ object MatrixOpsExp {
       val naiveOk = n.toLong <= naiveMaxRows
 
       // materialization: building the dense matrix vs building the f-rep.
-      val (_, factBuildMs) = Timing.ms(DatasetSynth.benchMatrix(d, w, 3, seed))
+      val (_, factBuildMs) = Timing.medianMs(DatasetSynth.benchMatrix(d, w, 3, seed))
       val (xOpt, natBuildMs) =
-        if (naiveOk) { val (x, t) = Timing.ms(fm.materialize); (Some(x), t) }
+        if (naiveOk) { val (x, t) = Timing.medianMs(fm.materialize); (Some(x), t) }
         else (None, Double.NaN)
       rows += OpRow(d, "materialize", natBuildMs, factBuildMs)
 
       // gram matrix
-      val (_, factGramMs) = Timing.ms(fm.gram)
-      val natGramMs = xOpt.map(x => Timing.ms(x.t * x)._2).getOrElse(Double.NaN)
+      val (_, factGramMs) = Timing.medianMs(fm.gram)
+      val natGramMs = xOpt.map(x => Timing.medianMs(x.t * x)._2).getOrElse(Double.NaN)
       rows += OpRow(d, "gram", natGramMs, factGramMs)
 
       // left multiplication: (1 x n) . X
       val v = Array.fill(n)(rng.nextDouble())
-      val (_, factLeftMs) = Timing.ms(fm.xtv(v))
-      val natLeftMs = xOpt.map(x => Timing.ms(x.tmv(v))._2).getOrElse(Double.NaN)
+      val (_, factLeftMs) = Timing.medianMs(fm.xtv(v))
+      val natLeftMs = xOpt.map(x => Timing.medianMs(x.tmv(v))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "leftMult", natLeftMs, factLeftMs)
 
       // right multiplication: X . (m x 1)
       val a = Array.fill(m)(rng.nextDouble())
-      val (_, factRightMs) = Timing.ms(fm.xv(a))
-      val natRightMs = xOpt.map(x => Timing.ms(x.mv(a))._2).getOrElse(Double.NaN)
+      val (_, factRightMs) = Timing.medianMs(fm.xv(a))
+      val natRightMs = xOpt.map(x => Timing.medianMs(x.mv(a))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "rightMult", natRightMs, factRightMs)
     }
     rows.result()
@@ -65,18 +67,18 @@ object MatrixOpsExp {
       val naiveOk = n.toLong <= naiveMaxRows
       val denseBk = if (naiveOk) Some(new DenseBackend(fm.materialize, fm.clusterRanges)) else None
 
-      val (_, factCgMs) = Timing.ms { fm.foreachClusterGram((_, _) => ()) }
-      val natCgMs = denseBk.map(bk => Timing.ms(bk.foreachClusterGram((_, _) => ()))._2).getOrElse(Double.NaN)
+      val (_, factCgMs) = Timing.medianMs { fm.foreachClusterGram((_, _) => ()) }
+      val natCgMs = denseBk.map(bk => Timing.medianMs(bk.foreachClusterGram((_, _) => ()))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterGram", natCgMs, factCgMs)
 
       val v = Array.fill(n)(rng.nextDouble())
-      val (_, factClMs) = Timing.ms(fm.clusterXtv(v))
-      val natClMs = denseBk.map(bk => Timing.ms(bk.clusterXtv(v))._2).getOrElse(Double.NaN)
+      val (_, factClMs) = Timing.medianMs(fm.clusterXtv(v))
+      val natClMs = denseBk.map(bk => Timing.medianMs(bk.clusterXtv(v))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterLeftMult", natClMs, factClMs)
 
       val as = Array.fill(g * m)(rng.nextDouble())
-      val (_, factCrMs) = Timing.ms(fm.clusterXa(as))
-      val natCrMs = denseBk.map(bk => Timing.ms(bk.clusterXa(as))._2).getOrElse(Double.NaN)
+      val (_, factCrMs) = Timing.medianMs(fm.clusterXa(as))
+      val natCrMs = denseBk.map(bk => Timing.medianMs(bk.clusterXa(as))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterRightMult", natCrMs, factCrMs)
     }
     rows.result()

@@ -87,6 +87,22 @@ class MatSpec extends SparkSpec {
     assert(inv.rows == 2) // no throw; approximately a pseudo-inverse
   }
 
+  test("scaledRidgeInverse follows a rescaling of the columns and inverts a well-conditioned matrix") {
+    val rng = new scala.util.Random(3)
+    val n = 4
+    val base = new Mat(n, n, Array.fill(n * n)(rng.nextGaussian()))
+    val spd = base.t * base + Mat.eye(n)
+    assert((spd * Mat.scaledRidgeInverse(spd, 1e-12)).maxAbsDiff(Mat.eye(n)) < 1e-9)
+    val e = Array(1e-3, 1.0, 1e3, 7.0)
+    val scaled = new Mat(n, n, Array.tabulate(n * n)(k => e(k / n) * spd.a(k) * e(k % n)))
+    val want = Mat.scaledRidgeInverse(spd, 1e-2).a // a ridge large enough to show
+    val got = Mat.scaledRidgeInverse(scaled, 1e-2).a
+    (0 until n * n).foreach { k =>
+      val w = want(k) / (e(k / n) * e(k % n))
+      assert(math.abs(got(k) - w) <= 1e-12 * math.abs(w), s"entry $k: ${got(k)} vs $w")
+    }
+  }
+
   test("logDet matches log(det) for 2x2") {
     val m = Mat.fromRows(Seq(Seq(3.0, 1.0), Seq(1.0, 2.0))) // det 5
     assert(math.abs(Mat.logDet(m) - math.log(5.0)) < 1e-10)

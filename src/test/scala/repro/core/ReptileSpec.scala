@@ -267,6 +267,38 @@ class ReptileSpec extends SparkSpec {
     assert(spark.sharedState.cacheManager.isEmpty)
   }
 
+  test("a null or NaN measure fails rankDim and recommend with an error naming the measure") {
+    val bad: Seq[(String, Option[Double])] = Seq("null" -> None, "NaN" -> Some(Double.NaN))
+    for ((what, value) <- bad) {
+      val fact = panel(15).map {
+        case (y, d, v, m) if y == "1985" && v == "bora-v1" && m > 7.0 => (y, d, v, value)
+        case (y, d, v, m)                                             => (y, d, v, Some(m))
+      }.toDF("year", "district", "village", "sev")
+      val complaint = Complaint(AggType.Sum, Direction.TooLow)
+      val calls: Seq[(String, () => Any)] = Seq(
+        "rankDim" -> (() => Reptile.rankDim(spark, fact, dims, Map("time" -> 1, "geo" -> 1),
+          Map("year" -> "1986", "district" -> "ofla"), complaint, "sev", "geo", cfg = cfg)),
+        "recommend" -> (() => Reptile.recommend(spark, fact, dims, Map("geo" -> 1),
+          Map("district" -> "ofla"), complaint, "sev", cfg = cfg)))
+      for ((name, call) <- calls) {
+        val ex = intercept[IllegalArgumentException](call())
+        assert(ex.getMessage.contains("measure sev") && ex.getMessage.contains(what), s"$name, $what: ${ex.getMessage}")
+      }
+    }
+  }
+
+  test("a matrix whose y cannot fit in the heap fails before y is allocated") {
+    // Three 1,200-row hierarchies: n = 1,200^3 ~ 1.7e9 rows, ~55 GB of
+    // n-length vectors. The groups are only the 1,200 diagonal cells.
+    val dims3 = Vector("a", "b", "c").map(a => Dimension(a, Vector(a)))
+    val keys = (0 until 1200).map(k => Vector(f"a$k%04d", f"b$k%04d", f"c$k%04d")).toVector
+    val dd = new Drilldown(dims3.map(_ -> 1), keys, keys.map(_ => GroupStats(1.0, 2.0, 0.0)), keys.map(_ => 2.0))
+    val ex = intercept[IllegalArgumentException] {
+      Reptile.rankDrilldown(dd, Map("a" -> "a0000", "b" -> "b0000"), Complaint(AggType.Mean, Direction.TooHigh), Nil, cfg)
+    }
+    assert(ex.getMessage.contains("n = 1728000000") && ex.getMessage.contains("bytes"), ex.getMessage)
+  }
+
   test("a null attribute value fails with an error naming the attribute") {
     val rows = panel(14).map {
       case (y, d, v, m) if y == "1985" && v == "bora-v1" => (y, d, null, m)
