@@ -22,7 +22,9 @@ object FeatureColumn {
   * pair sums of the columns that vary inside the block, `s(b)` their sums,
   * `len(b)` its row count. Per cluster: `u` (numClusters x m, cluster-major)
   * holds the values of the columns constant inside the cluster, zero at the
-  * varying ones. An empty `u` (and `s`) means no rank-2 term: G_i = D_b.
+  * varying ones; the factorised matrix hands out its own table here, so
+  * `u` is read, never written. An empty `u` (and `s`) means no rank-2
+  * term: G_i = D_b.
   */
 final case class BlockGrams(
     blockOf: Array[Int],
@@ -256,182 +258,88 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   private val varyingCols: Array[Int] =
     cols.indices.filter(j => cols(j).hierIdx == H - 1 && cols(j).attrIdx == lastAttr).toArray
   private val constCols: Array[Int] = cols.indices.filterNot(varyingCols.contains(_)).toArray
-  /** varIdxOf(j) = position of column j inside varyingCols, or -1. */
-  private val varIdxOf: Array[Int] = {
-    val arr = Array.fill(m)(-1)
-    varyingCols.zipWithIndex.foreach { case (j, x) => arr(j) = x }
-    arr
+  private val blockStart: Array[Int] = blocks.map(_._1).toArray
+
+  /** Per cluster (numClusters x m, cluster-major): X's row at the cluster's
+    * first row, zero at the varying columns, i.e. the values of the columns
+    * that are constant inside the cluster. Cluster i lies in parent block
+    * `i % blocks.size`.
+    */
+  private lazy val clusterConst: Array[Double] = {
+    val out = new Array[Double](numClusters * m)
+    var ci = 0
+    while (ci < numClusters) {
+      val row = rowOf(clusterRanges(ci)._1)
+      var x = 0
+      while (x < constCols.length) { val j = constCols(x); out(ci * m + j) = row(j); x += 1 }
+      ci += 1
+    }
+    out
   }
 
-  /** Per parent block: sums and pair sums of varying columns — computed
-    * once and shared across all outer combinations (per-cluster work
-    * sharing, Appendix F).
+  /** The cluster grams as per-block pair sums plus each cluster's constant
+    * column values (see BlockGrams): O(blocks * m^2 + clusters * m), where
+    * every dense gram costs O(clusters * m^2). The per-block sums of the
+    * varying columns are computed once and shared across all outer
+    * combinations (per-cluster work sharing, Appendix F).
     */
-  private lazy val blockSumF: Array[Array[Double]] = // [block][varIdx]
-    blocks.toArray.map { case (s, l) =>
-      varyingCols.map { j => var acc = 0.0; var r = s; while (r < s + l) { acc += colVals(j)(r); r += 1 }; acc }
-    }
-  private lazy val blockPairSum: Array[Array[Double]] = // [block][varIdx*nv + varIdx]
-    blocks.toArray.map { case (s, l) =>
-      val nv = varyingCols.length
-      val out = new Array[Double](nv * nv)
+  def blockGrams: BlockGrams = {
+    val nv = varyingCols.length
+    val d = blocks.toArray.map { case (s, l) =>
+      val out = new Array[Double](m * m)
       var x = 0
       while (x < nv) {
+        val j = varyingCols(x)
         var y = x
         while (y < nv) {
+          val k = varyingCols(y)
           var acc = 0.0; var r = s
-          while (r < s + l) { acc += colVals(varyingCols(x))(r) * colVals(varyingCols(y))(r); r += 1 }
-          out(x * nv + y) = acc; out(y * nv + x) = acc
+          while (r < s + l) { acc += colVals(j)(r) * colVals(k)(r); r += 1 }
+          out(j * m + k) = acc; out(k * m + j) = acc
           y += 1
         }
         x += 1
       }
       out
     }
-
-  /** Primitive-signature callback for cluster iteration — a generic
-    * Function5 would box four Ints per cluster, which dominates runtime
-    * with tens of thousands of clusters per EM iteration.
-    */
-  private trait ClusterVisitor {
-    def visit(ci: Int, b: Int, blockStart: Int, len: Int, constVals: Array[Double]): Unit
-  }
-
-  /** Iterates clusters in row order, supplying for each: the cluster index,
-    * the block index, the block's (start,len) inside the last hierarchy,
-    * and the constant column values for the current outer combination
-    * (NaN at varying columns).
-    */
-  private def foreachCluster(fun: ClusterVisitor): Unit = {
-    val outerH = H - 1 // number of outer hierarchies
-    val ptr = new Array[Int](outerH)
-    val constVals = new Array[Double](m)
-    java.util.Arrays.fill(constVals, Double.NaN)
-    val colsByHier: Array[Array[Int]] =
-      Array.tabulate(H)(h => cols.indices.filter(cols(_).hierIdx == h).toArray)
-    def setFor(h: Int): Unit = {
-      val cj = colsByHier(h); var x = 0
-      while (x < cj.length) { val j = cj(x); constVals(j) = colVals(j)(ptr(h)); x += 1 }
-    }
-    var j = 0
-    while (j < m) { if (cols(j).hierIdx < 0) constVals(j) = 1.0; j += 1 }
-    var h = 0
-    while (h < outerH) { setFor(h); h += 1 }
-    // const cols bound to the LAST hierarchy but NOT the last attr: their
-    // value is fixed per block (parent prefix), set inside the loop.
-    val lastConstCols = constCols.filter(cols(_).hierIdx == H - 1)
-    var ci = 0
-    val outer = outerSize(H - 1)
-    var o = 0
-    while (o < outer) {
-      var b = 0
-      while (b < blocks.size) {
-        val (s, l) = blocks(b)
-        var x = 0
-        while (x < lastConstCols.length) { val j = lastConstCols(x); constVals(j) = colVals(j)(s); x += 1 }
-        fun.visit(ci, b, s, l, constVals)
-        ci += 1; b += 1
-      }
-      // odometer over outer hierarchies (last of them fastest)
-      var d = outerH - 1
-      var carry = true
-      while (carry && d >= 0) {
-        ptr(d) += 1
-        if (ptr(d) == totals(d)) { ptr(d) = 0 } else carry = false
-        setFor(d)
-        d -= 1
-      }
-      o += 1
-    }
-  }
-
-  /** Streams X_i^T X_i for every cluster i (Algorithm 5 equivalent). */
-  def foreachClusterGram(fun: (Int, Mat) => Unit): Unit = {
-    val nv = varyingCols.length
-    foreachCluster(new ClusterVisitor {
-      def visit(ci: Int, b: Int, blockStart: Int, len: Int, constVals: Array[Double]): Unit = {
-        val g = Mat.zeros(m, m)
-        var j = 0
-        while (j < m) {
-          var k = j
-          while (k < m) {
-            val vj = varIdxOf(j); val vk = varIdxOf(k)
-            val v =
-              if (vj < 0 && vk < 0) len * constVals(j) * constVals(k)
-              else if (vj < 0) constVals(j) * blockSumF(b)(vk)
-              else if (vk < 0) constVals(k) * blockSumF(b)(vj)
-              else blockPairSum(b)(vj * nv + vk)
-            g(j, k) = v; g(k, j) = v
-            k += 1
-          }
-          j += 1
-        }
-        fun(ci, g)
-      }
-    })
-  }
-
-  /** The cluster grams as per-block pair sums plus each cluster's constant
-    * column values (see BlockGrams): O(blocks * m^2 + clusters * m), where
-    * streaming every gram costs O(clusters * m^2).
-    */
-  def blockGrams: BlockGrams = {
-    val nb = blocks.size
-    val nv = varyingCols.length
-    val d = Array.tabulate(nb) { b =>
-      val out = new Array[Double](m * m)
-      var x = 0
-      while (x < nv) {
-        var y = 0
-        while (y < nv) { out(varyingCols(x) * m + varyingCols(y)) = blockPairSum(b)(x * nv + y); y += 1 }
-        x += 1
-      }
-      out
-    }
-    val s = Array.tabulate(nb) { b =>
+    val sums = blocks.toArray.map { case (s, l) =>
       val out = new Array[Double](m)
-      var x = 0
-      while (x < nv) { out(varyingCols(x)) = blockSumF(b)(x); x += 1 }
+      varyingCols.foreach { j => var acc = 0.0; var r = s; while (r < s + l) { acc += colVals(j)(r); r += 1 }; out(j) = acc }
       out
     }
-    val u = new Array[Double](numClusters * m)
-    foreachCluster(new ClusterVisitor {
-      def visit(ci: Int, b: Int, blockStart: Int, len: Int, constVals: Array[Double]): Unit = {
-        var x = 0
-        while (x < constCols.length) { val j = constCols(x); u(ci * m + j) = constVals(j); x += 1 }
-      }
-    })
-    BlockGrams(Array.tabulate(numClusters)(_ % nb), d, s, blocks.map(_._2).toArray, u)
+    BlockGrams(Array.tabulate(numClusters)(_ % blocks.size), d, sums, blocks.map(_._2).toArray, clusterConst)
   }
 
-  /** X_i^T v_i for every cluster (per-cluster left multiplication). */
-  def clusterXtv(v: Array[Double]): Array[Array[Double]] = {
+  /** X_i^T v_i for every cluster (per-cluster left multiplication), flat:
+    * cluster i's m-vector is `out(i*m until (i+1)*m)`.
+    */
+  def clusterXtv(v: Array[Double]): Array[Double] = {
     require(v.length == n, s"clusterXtv length mismatch")
     val prefix = new Array[Double](n + 1)
     var i = 0
     while (i < n) { prefix(i + 1) = prefix(i) + v(i); i += 1 }
-    val out = new Array[Array[Double]](numClusters)
-    val th = totals(H - 1)
+    val u = clusterConst
+    val ranges = clusterRanges
     val nb = blocks.size
-    foreachCluster(new ClusterVisitor {
-      def visit(ci: Int, b: Int, bs: Int, len: Int, constVals: Array[Double]): Unit = {
-        val o = ci / nb
-        val start = o * th + bs
-        val res = new Array[Double](m)
-        val rangeSum = prefix(start + len) - prefix(start)
-        var x = 0
-        while (x < constCols.length) { val j = constCols(x); res(j) = constVals(j) * rangeSum; x += 1 }
-        x = 0
-        while (x < varyingCols.length) {
-          val j = varyingCols(x)
-          var acc = 0.0; var r = 0
-          while (r < len) { acc += colVals(j)(bs + r) * v(start + r); r += 1 }
-          res(j) = acc
-          x += 1
-        }
-        out(ci) = res
+    val out = new Array[Double](numClusters * m)
+    var ci = 0
+    while (ci < numClusters) {
+      val start = ranges(ci)._1; val len = ranges(ci)._2
+      val bs = blockStart(ci % nb)
+      val off = ci * m
+      val rangeSum = prefix(start + len) - prefix(start)
+      var x = 0
+      while (x < constCols.length) { val j = constCols(x); out(off + j) = u(off + j) * rangeSum; x += 1 }
+      x = 0
+      while (x < varyingCols.length) {
+        val j = varyingCols(x)
+        var acc = 0.0; var r = 0
+        while (r < len) { acc += colVals(j)(bs + r) * v(start + r); r += 1 }
+        out(off + j) = acc
+        x += 1
       }
-    })
+      ci += 1
+    }
     out
   }
 
@@ -440,27 +348,28 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     */
   def clusterXa(as: Array[Double]): Array[Double] = {
     require(as.length == numClusters * m, s"clusterXa length mismatch")
-    val out = new Array[Double](n)
-    val th = totals(H - 1)
+    val u = clusterConst
+    val ranges = clusterRanges
     val nb = blocks.size
-    foreachCluster(new ClusterVisitor {
-      def visit(ci: Int, b: Int, bs: Int, len: Int, constVals: Array[Double]): Unit = {
-        val off = ci * m
-        val o = ci / nb
-        val start = o * th + bs
-        var base = 0.0
-        var x = 0
-        while (x < constCols.length) { val j = constCols(x); base += constVals(j) * as(off + j); x += 1 }
-        var r = 0
-        while (r < len) {
-          var v = base
-          var y = 0
-          while (y < varyingCols.length) { val j = varyingCols(y); v += colVals(j)(bs + r) * as(off + j); y += 1 }
-          out(start + r) = v
-          r += 1
-        }
+    val out = new Array[Double](n)
+    var ci = 0
+    while (ci < numClusters) {
+      val start = ranges(ci)._1; val len = ranges(ci)._2
+      val bs = blockStart(ci % nb)
+      val off = ci * m
+      var base = 0.0
+      var x = 0
+      while (x < constCols.length) { val j = constCols(x); base += u(off + j) * as(off + j); x += 1 }
+      var r = 0
+      while (r < len) {
+        var v = base
+        var y = 0
+        while (y < varyingCols.length) { val j = varyingCols(y); v += colVals(j)(bs + r) * as(off + j); y += 1 }
+        out(start + r) = v
+        r += 1
       }
-    })
+      ci += 1
+    }
     out
   }
 

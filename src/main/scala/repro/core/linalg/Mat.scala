@@ -122,7 +122,6 @@ object Mat {
   }
 
   def colVec(v: Array[Double]): Mat = new Mat(v.length, 1, v.clone())
-  def rowVec(v: Array[Double]): Mat = new Mat(1, v.length, v.clone())
 
   /** Outer product v * v^T. */
   def outer(v: Array[Double]): Mat = {

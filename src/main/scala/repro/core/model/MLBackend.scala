@@ -11,8 +11,8 @@ import repro.core.linalg.Mat
   *
   * The EM reads the cluster grams as `blockGrams` and takes y's
   * statistics with one `xtv` and one `clusterXtv` per fit; `xv` and
-  * `clusterXa` serve predictions. `foreachClusterGram` streams the cluster
-  * grams one dense m x m matrix at a time (Figure 15, tests).
+  * `clusterXa` serve predictions. Per-cluster vectors are flat, m per
+  * cluster: cluster i's is `(i*m until (i+1)*m)`.
   */
 trait MLBackend {
   def n: Int
@@ -23,15 +23,41 @@ trait MLBackend {
   def numClusters: Int
   def clusterRanges: Array[(Int, Int)]
   def blockGrams: BlockGrams
-  def foreachClusterGram(f: (Int, Mat) => Unit): Unit
-  def clusterXtv(v: Array[Double]): Array[Array[Double]]
-  /** Per-cluster right multiplication; a_i is `as(i*m until (i+1)*m)`. */
+  def clusterXtv(v: Array[Double]): Array[Double]
   def clusterXa(as: Array[Double]): Array[Double]
   final def clusterXa(as: Array[Array[Double]]): Array[Double] = {
     require(as.length == numClusters, "clusterXa cluster count mismatch")
     clusterXa(Mat.concat(as))
   }
   def clusterMat(i: Int): Mat
+
+  /** Streams X_i^T X_i for every cluster i, one dense m x m matrix at a
+    * time (Figure 15, tests), expanded from `blockGrams`:
+    *   G_i = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T.
+    */
+  final def foreachClusterGram(f: (Int, Mat) => Unit): Unit = {
+    val bg = blockGrams
+    val c = new Array[Double](m)
+    var i = 0
+    while (i < numClusters) {
+      val b = bg.blockOf(i)
+      val g = bg.d(b).clone()
+      if (bg.rank2) {
+        val s = bg.s(b); val len = bg.len(b)
+        var k = 0
+        while (k < m) { c(k) = len * bg.u(i * m + k) + s(k); k += 1 }
+        var j = 0
+        while (j < m) {
+          val uj = bg.u(i * m + j); val sj = s(j)
+          k = 0
+          while (k < m) { g(j * m + k) += uj * c(k) + sj * bg.u(i * m + k); k += 1 }
+          j += 1
+        }
+      }
+      f(i, new Mat(m, m, g))
+      i += 1
+    }
+  }
 }
 
 /** Reptile's backend: operations run on the f-representation directly. */
@@ -44,8 +70,7 @@ final class FactorizedBackend(val fm: FactorizedMatrix) extends MLBackend {
   def numClusters: Int = fm.numClusters
   def clusterRanges: Array[(Int, Int)] = fm.clusterRanges
   def blockGrams: BlockGrams = fm.blockGrams
-  def foreachClusterGram(f: (Int, Mat) => Unit): Unit = fm.foreachClusterGram(f)
-  def clusterXtv(v: Array[Double]): Array[Array[Double]] = fm.clusterXtv(v)
+  def clusterXtv(v: Array[Double]): Array[Double] = fm.clusterXtv(v)
   def clusterXa(as: Array[Double]): Array[Double] = fm.clusterXa(as)
   def clusterMat(i: Int): Mat = fm.clusterMat(i)
 }
@@ -70,35 +95,27 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
     out
   }
 
-  def foreachClusterGram(f: (Int, Mat) => Unit): Unit = {
-    var i = 0
-    while (i < numClusters) { val xi = clusterMat(i); f(i, xi.t * xi); i += 1 }
-  }
-
   /** Every cluster is a block of its own, `D_i = X_i^T X_i`, no rank-2
     * term: the EM then inverts one m x m matrix per cluster, as a dense
     * pipeline does.
     */
   def blockGrams: BlockGrams = {
-    val d = new Array[Array[Double]](numClusters)
-    foreachClusterGram((i, g) => d(i) = g.a)
+    val d = Array.tabulate(numClusters) { i => val xi = clusterMat(i); (xi.t * xi).a }
     BlockGrams(Array.range(0, numClusters), d, Array.empty, clusterRanges.map(_._2), Array.emptyDoubleArray)
   }
 
-  def clusterXtv(v: Array[Double]): Array[Array[Double]] = {
-    val out = new Array[Array[Double]](numClusters)
+  def clusterXtv(v: Array[Double]): Array[Double] = {
+    val out = new Array[Double](numClusters * m)
     var i = 0
     while (i < numClusters) {
       val (s, l) = clusterRanges(i)
-      val res = new Array[Double](m)
       var r = 0
       while (r < l) {
         val w = v(s + r)
         var j = 0
-        while (j < m) { res(j) += w * x(s + r, j); j += 1 }
+        while (j < m) { out(i * m + j) += w * x(s + r, j); j += 1 }
         r += 1
       }
-      out(i) = res
       i += 1
     }
     out

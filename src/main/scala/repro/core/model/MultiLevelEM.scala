@@ -83,7 +83,7 @@ object MultiLevelEM {
     var sigma2 = math.max(rr / bk.n, 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
-    val xtr = Array.fill(g)(new Array[Double](m)) // X_i^T r_i
+    val xtr = new Array[Double](g * m)             // X_i^T r_i, m per cluster
     val xtzb = new Array[Double](m)                // X^T Z b
 
     var it = 0
@@ -201,8 +201,10 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
   private val bSum = new Array[Double](nb * s) // per block: sum_{i in b} b_i
   private val ubSum = new Array[Double](nb)    // per block: sum_{i in b} u_i^T b~_i
 
-  /** out(i) = X_i^T y_i - G_i beta: X_i^T r_i for r = y - X beta. */
-  def residualXtv(xiy: Array[Array[Double]], beta: Array[Double], out: Array[Array[Double]]): Unit = {
+  /** X_i^T r_i = X_i^T y_i - G_i beta for r = y - X beta, into `out`;
+    * `xiy` and `out` hold m per cluster.
+    */
+  def residualXtv(xiy: Array[Double], beta: Array[Double], out: Array[Double]): Unit = {
     var b = 0
     while (b < nb) {
       val d = bg.d(b)
@@ -221,22 +223,22 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
     var i = 0
     while (i < g) {
       val b = blockOf(i)
-      val yi = xiy(i); val o = out(i)
+      val io = i * m
       var j = 0
       if (rank2) {
         var ub = 0.0
-        while (j < m) { ub += u(i * m + j) * beta(j); j += 1 }
+        while (j < m) { ub += u(io + j) * beta(j); j += 1 }
         val cu = len(b) * ub + sv(b)
         j = 0
-        while (j < m) { o(j) = yi(j) - dv(b * m + j) - u(i * m + j) * cu - sb(b * m + j) * ub; j += 1 }
+        while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j) - u(io + j) * cu - sb(b * m + j) * ub; j += 1 }
       } else
-        while (j < m) { o(j) = yi(j) - dv(b * m + j); j += 1 }
+        while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j); j += 1 }
       i += 1
     }
   }
 
   /** Fills `out` with sum_i G_i b~_i = X^T Z b; returns sum_i b~_i^T X_i^T y_i. */
-  def xtzb(bs: Array[Double], xiy: Array[Array[Double]], out: Array[Double]): Double = {
+  def xtzb(bs: Array[Double], xiy: Array[Double], out: Array[Double]): Double = {
     java.util.Arrays.fill(out, 0.0)
     java.util.Arrays.fill(bSum, 0.0)
     java.util.Arrays.fill(ubSum, 0.0)
@@ -244,13 +246,12 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
     var i = 0
     while (i < g) {
       val b = blockOf(i)
-      val yi = xiy(i)
       var ub = 0.0; var sbb = 0.0
       var k = 0
       while (k < s) {
         val v = bs(i * s + k)
         bSum(b * s + k) += v
-        by += v * yi(re(k))
+        by += v * xiy(i * m + re(k))
         if (rank2) { ub += u(i * m + re(k)) * v; sbb += sb(b * m + re(k)) * v }
         k += 1
       }
@@ -363,10 +364,10 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   val sigAcc = new Array[Double](ss)
 
   /** Writes every cluster's posterior mean into `mu` (flat, s per cluster),
-    * fills `sigAcc` and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xtr(i)`
-    * is X_i^T r_i for the current fixed-effect residual r.
+    * fills `sigAcc` and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xtr`
+    * holds X_i^T r_i, m per cluster, for the current fixed-effect residual r.
     */
-  def run(xtr: Array[Array[Double]], sigma2: Double, sigmaInv: Array[Double], mu: Array[Double]): Double = {
+  def run(xtr: Array[Double], sigma2: Double, sigmaInv: Array[Double], mu: Array[Double]): Double = {
     java.util.Arrays.fill(accB, 0.0)
     java.util.Arrays.fill(pB, 0.0)
     java.util.Arrays.fill(qB, 0.0)
@@ -374,7 +375,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     var b = 0
     while (b < nb) { invertBlock(b, sigma2, sigmaInv); b += 1 }
     var i = 0
-    while (i < g) { cluster(i, xtr(i), sigma2, mu); i += 1 }
+    while (i < g) { cluster(i, xtr, sigma2, mu); i += 1 }
     java.util.Arrays.fill(sigAcc, 0.0)
     var tr = 0.0
     b = 0
@@ -449,7 +450,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     val off = b * ss
     val mo = i * s
     var j = 0
-    while (j < s) { xz(j) = xtr(re(j)); j += 1 }
+    while (j < s) { xz(j) = xtr(i * m + re(j)); j += 1 }
     var i11 = 0.0
     if (!rank2) {
       // mu = A_b^{-1} Z_i^T r_i / sigma2

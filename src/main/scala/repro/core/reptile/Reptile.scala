@@ -162,9 +162,15 @@ object Reptile {
 
   /** Group statistics for a drill-down: one Spark groupBy over the fact
     * table computing the whole distributive set (count / mean / std / sum).
+    * A null measure would make count x mean overstate the group's sum, so
+    * it fails the job with an error naming `measure` and the group.
     */
   def drilldownStats(fact: DataFrame, attrs: Seq[String], measure: String): DataFrame = {
-    val stats = statColumns(measure)
+    val nulls = count(lit(1)) - count(col(measure))
+    val group = concat_ws(", ", attrs.map(a => col(a).cast("string")): _*)
+    val checked = when(nulls === 0, count(lit(1)).cast("double")).otherwise(raise_error(concat(
+      lit(s"measure $measure is null in "), nulls.cast("string"), lit(" rows of group ("), group, lit(")"))))
+    val stats = checked.as("stat_count") +: statColumns(measure).tail
     fact.groupBy(attrs.map(col): _*).agg(stats.head, stats.tail: _*)
   }
 

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.core.fmatrix.FactorizedMatrix
 import repro.core.linalg.Mat
-import repro.core.model.DenseBackend
+import repro.core.model.{DenseBackend, FactorizedBackend}
 import repro.synth.DatasetSynth
 import scala.util.Random
 
@@ -67,7 +67,7 @@ object MatrixOpsExp {
       val naiveOk = n.toLong <= naiveMaxRows
       val denseBk = if (naiveOk) Some(new DenseBackend(fm.materialize, fm.clusterRanges)) else None
 
-      val (_, factCgMs) = Timing.medianMs { fm.foreachClusterGram((_, _) => ()) }
+      val (_, factCgMs) = Timing.medianMs(new FactorizedBackend(fm).foreachClusterGram((_, _) => ()))
       val natCgMs = denseBk.map(bk => Timing.medianMs(bk.foreachClusterGram((_, _) => ()))._2).getOrElse(Double.NaN)
       rows += OpRow(d, "clusterGram", natCgMs, factCgMs)
 

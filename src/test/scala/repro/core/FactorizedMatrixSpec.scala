@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
 import repro.core.linalg.Mat
-import repro.core.model.DenseBackend
+import repro.core.model.{DenseBackend, FactorizedBackend}
 import repro.synth.DatasetSynth
 import scala.util.Random
 
@@ -124,36 +124,54 @@ class FactorizedMatrixSpec extends SparkSpec {
     }
   }
 
+  // Among these seeds, some have 3 hierarchies and a column on a non-last
+  // attribute of the last one: constant inside a cluster, but not across the
+  // last hierarchy's parent blocks.
+  private val gramSeeds = 500 until 520
+
+  private def denseClusterGrams(fm: FactorizedMatrix, x: Mat): Array[Mat] =
+    fm.clusterRanges.map { case (s, l) =>
+      val xi = Mat.zeros(l, fm.m)
+      for (r <- 0 until l; j <- 0 until fm.m) xi(r, j) = x(s + r, j)
+      xi.t * xi
+    }
+
   test("foreachClusterGram matches dense per-cluster grams") {
-    for (seed <- 0 until 10) {
-      val fm = randomMatrix(seed + 500)
-      val bk = new DenseBackend(fm.materialize, fm.clusterRanges)
-      val dense = new Array[Mat](fm.numClusters)
-      bk.foreachClusterGram((i, g) => dense(i) = g)
-      fm.foreachClusterGram { (i, g) =>
-        assert(g.maxAbsDiff(dense(i)) < 1e-8, s"cluster $i seed $seed")
+    assert(gramSeeds.exists { seed => val fm = randomMatrix(seed); fm.H == 3 && fm.hiers.last.depth >= 2 })
+    for (seed <- gramSeeds) {
+      val fm = randomMatrix(seed)
+      val x = fm.materialize
+      val expect = denseClusterGrams(fm, x)
+      for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(x, fm.clusterRanges))) {
+        var seen = 0
+        bk.foreachClusterGram { (i, g) =>
+          assert(g.maxAbsDiff(expect(i)) < 1e-8, s"${bk.getClass.getSimpleName} cluster $i seed $seed")
+          seen += 1
+        }
+        assert(seen == fm.numClusters)
       }
     }
   }
 
   test("blockGrams rebuilds every cluster gram as D_b + U_i C_b U_i^T") {
-    for (seed <- 0 until 10) {
-      val fm = randomMatrix(seed + 550)
+    for (seed <- gramSeeds) {
+      val fm = randomMatrix(seed)
       val m = fm.m
+      val x = fm.materialize
+      val expect = denseClusterGrams(fm, x)
       val bg = fm.blockGrams
       assert(bg.numBlocks == fm.blocks.size && bg.rank2)
-      val denseBk = new DenseBackend(fm.materialize, fm.clusterRanges)
-      val denseBg = denseBk.blockGrams
+      val denseBg = new DenseBackend(x, fm.clusterRanges).blockGrams
       assert(denseBg.numBlocks == fm.numClusters && !denseBg.rank2)
-      denseBk.foreachClusterGram { (i, g) =>
+      expect.indices.foreach { i =>
         val b = bg.blockOf(i)
         val u = bg.u.slice(i * m, (i + 1) * m)
         val sb = bg.s(b)
         val rebuilt = Mat.zeros(m, m)
         for (j <- 0 until m; k <- 0 until m)
           rebuilt(j, k) = bg.d(b)(j * m + k) + bg.len(b) * u(j) * u(k) + u(j) * sb(k) + sb(j) * u(k)
-        assert(rebuilt.maxAbsDiff(g) < 1e-8, s"cluster $i seed $seed")
-        assert(new Mat(m, m, denseBg.d(denseBg.blockOf(i))).maxAbsDiff(g) == 0.0)
+        assert(rebuilt.maxAbsDiff(expect(i)) < 1e-8, s"cluster $i seed $seed")
+        assert(new Mat(m, m, denseBg.d(denseBg.blockOf(i))).maxAbsDiff(expect(i)) == 0.0)
       }
     }
   }
@@ -166,9 +184,8 @@ class FactorizedMatrixSpec extends SparkSpec {
       val bk = new DenseBackend(fm.materialize, fm.clusterRanges)
       val expect = bk.clusterXtv(v)
       val got = fm.clusterXtv(v)
-      expect.indices.foreach { i =>
-        expect(i).zip(got(i)).foreach { case (e, g) => assert(math.abs(e - g) < 1e-8, s"cluster $i seed $seed") }
-      }
+      assert(got.length == fm.numClusters * fm.m)
+      expect.zip(got).foreach { case (e, g) => assert(math.abs(e - g) < 1e-8, s"seed $seed") }
     }
   }
 

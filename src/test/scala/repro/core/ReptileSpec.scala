@@ -287,6 +287,24 @@ class ReptileSpec extends SparkSpec {
     }
   }
 
+  test("drilldownStats over a null measure fails in its one job, naming the measure and group") {
+    val clean = panel(15).map { case (y, d, v, m) => (y, d, v, Option(m)) }
+    val bad = clean.map {
+      case (y, d, v, Some(m)) if y == "1985" && v == "bora-v1" && m > 7.0 => (y, d, v, None)
+      case r                                                             => r
+    }
+    val nulls = bad.count(_._4.isEmpty)
+    assert(nulls > 0)
+    def stats(rows: Seq[(String, String, String, Option[Double])]) =
+      Reptile.drilldownStats(rows.toDF("year", "district", "village", "sev"), Seq("year", "district", "village"), "sev")
+    val cleanJobs = jobsOf(assert(stats(clean).collect().length == 80))
+    var ex: Throwable = null
+    val badJobs = jobsOf { ex = intercept[Exception](stats(bad).collect()) }
+    val msgs = Iterator.iterate(ex)(_.getCause).takeWhile(_ != null).map(e => String.valueOf(e.getMessage)).mkString("\n")
+    assert(msgs.contains(s"measure sev is null in $nulls rows of group (1985, bora, bora-v1)"), msgs)
+    assert(badJobs <= cleanJobs && cleanJobs <= 2, s"$badJobs jobs with a null measure, $cleanJobs without")
+  }
+
   test("a matrix whose y cannot fit in the heap fails before y is allocated") {
     // Three 1,200-row hierarchies: n = 1,200^3 ~ 1.7e9 rows, ~55 GB of
     // n-length vectors. The groups are only the 1,200 diagonal cells.
