@@ -263,16 +263,26 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   /** Per cluster (numClusters x m, cluster-major): X's row at the cluster's
     * first row, zero at the varying columns, i.e. the values of the columns
     * that are constant inside the cluster. Cluster i lies in parent block
-    * `i % blocks.size`.
+    * `i % blocks.size` of outer combination `i / blocks.size`, so an outer
+    * hierarchy h's row is that combination's digit of stride
+    * `innerSize(h) / totals(H-1)`, and the last hierarchy's is the block's
+    * first row.
     */
   private lazy val clusterConst: Array[Double] = {
+    val nb = blocks.size
     val out = new Array[Double](numClusters * m)
-    var ci = 0
-    while (ci < numClusters) {
-      val row = rowOf(clusterRanges(ci)._1)
-      var x = 0
-      while (x < constCols.length) { val j = constCols(x); out(ci * m + j) = row(j); x += 1 }
-      ci += 1
+    constCols.foreach { j =>
+      val h = cols(j).hierIdx
+      val cv = colVals(j)
+      val (stride, th) = if (h >= 0) (innerSize(h) / totals(H - 1), totals(h)) else (1, 1)
+      var ci = 0
+      while (ci < numClusters) {
+        out(ci * m + j) =
+          if (h < 0) 1.0
+          else if (h == H - 1) cv(blockStart(ci % nb))
+          else cv((ci / nb / stride) % th)
+        ci += 1
+      }
     }
     out
   }

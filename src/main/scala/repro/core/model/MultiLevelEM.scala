@@ -1,5 +1,6 @@
 package repro.core.model
 
+import java.util.concurrent.{ForkJoinTask, RecursiveAction}
 import repro.core.fmatrix.BlockGrams
 import repro.core.linalg.Mat
 
@@ -180,17 +181,75 @@ object MultiLevelEM {
   }
 }
 
+/** Fixed-size chunks of the EM's per-cluster and per-block loops, run as
+  * tasks of the current ForkJoinPool: the JVM's common pool, unless the
+  * fit itself runs inside another pool. A loop of one chunk runs on the
+  * calling thread.
+  *
+  * Each chunk writes only its own clusters' outputs and accumulates its
+  * own partial sums; the caller adds the partials in chunk order. The chunk
+  * length depends on the matrix's shape alone, never on the number of
+  * threads, so a fit gives the same bits on one thread as on many.
+  *
+  * A cluster's per-block sums (the E-step's `accB`, `pB`, `qB`; `bSum`,
+  * `ubSum` in X^T Z b) go to its chunk's copy, except when every cluster is
+  * a block of its own (`ownBlocks`: the dense backend, or a factorised
+  * matrix of one hierarchy). Then no two chunks touch the same block, they
+  * add into the shared sums directly, and the per-block loops are chunked
+  * too. With shared blocks a chunk holds at least as many clusters as
+  * there are blocks, so all the copies together hold no more entries than
+  * one block's sums per cluster.
+  */
+private final class Chunks(bg: BlockGrams) {
+  private val g = bg.blockOf.length
+  private val nb = bg.numBlocks
+  val ownBlocks: Boolean = nb == g && bg.blockOf.indices.forall(i => bg.blockOf(i) == i)
+  private val length = if (ownBlocks) Chunks.Size else math.max(Chunks.Size, nb)
+  /** Chunks of the cluster loops; the block loops have no more. */
+  val count: Int = Chunks.count(g, length)
+  val blockCount: Int = Chunks.count(nb, length)
+
+  /** body(chunk, from, until) over the chunks of the clusters. */
+  def clusters(body: (Int, Int, Int) => Unit): Unit = Chunks.foreach(g, length, body)
+  /** body(chunk, from, until) over the chunks of the blocks. */
+  def blocks(body: (Int, Int, Int) => Unit): Unit = Chunks.foreach(nb, length, body)
+}
+
+private object Chunks {
+  /** Clusters per chunk: ~0.25 ms of E-step work at s = 6, far above a
+    * task's cost. A constant, not a setting: the chunk boundaries fix the
+    * order in which partial sums are added.
+    */
+  final val Size = 1024
+
+  def count(len: Int, length: Int): Int = math.max(1, (len + length - 1) / length)
+
+  def foreach(len: Int, length: Int, body: (Int, Int, Int) => Unit): Unit = {
+    val k = count(len, length)
+    if (k == 1) body(0, 0, len)
+    else
+      ForkJoinTask.invokeAll(Array.tabulate[ForkJoinTask[_]](k) { c =>
+        new RecursiveAction { def compute(): Unit = body(c, c * length, math.min(len, (c + 1) * length)) }
+      }: _*)
+  }
+
+  /** a += b, entry by entry. */
+  def addInto(a: Array[Double], b: Array[Double]): Unit = {
+    var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }
+  }
+}
+
 /** Products with the cluster grams G_i in their block-plus-rank-2 form
   * (BlockGrams), G_i = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T, so a
   * product costs O(m) per cluster plus O(m^2) per block instead of O(m^2)
   * per cluster. Without a rank-2 term (the dense backend) G_i = D_i.
   * Random-effect vectors b_i arrive in Z's columns `re`, flat s per
-  * cluster; b~_i is b_i zero-padded to X's columns.
+  * cluster; b~_i is b_i zero-padded to X's columns. The loops run in
+  * Chunks.
   */
 private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
   private val s = re.length
   private val nb = bg.numBlocks
-  private val g = bg.blockOf.length
   private val blockOf = bg.blockOf
   private val rank2 = bg.rank2
   private val u = bg.u
@@ -200,41 +259,60 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
   private val sv = new Array[Double](nb)       // per block: s_b^T beta
   private val bSum = new Array[Double](nb * s) // per block: sum_{i in b} b_i
   private val ubSum = new Array[Double](nb)    // per block: sum_{i in b} u_i^T b~_i
+  private val chunks = new Chunks(bg)
+
+  /** A chunk's partial sums for `xtzb`; chunk 0 adds into the totals and
+    * into `xtzb`'s `out`, so it needs no `out` of its own.
+    */
+  private final class Part(c: Int) {
+    val out: Array[Double] = if (c == 0) Array.emptyDoubleArray else new Array[Double](m)
+    val bSum: Array[Double] = if (c == 0 || chunks.ownBlocks) ClusterGrams.this.bSum else new Array[Double](nb * s)
+    val ubSum: Array[Double] = if (c == 0 || chunks.ownBlocks) ClusterGrams.this.ubSum else new Array[Double](nb)
+    var by = 0.0
+  }
+  private val parts = Array.tabulate(chunks.count)(new Part(_))
 
   /** X_i^T r_i = X_i^T y_i - G_i beta for r = y - X beta, into `out`;
     * `xiy` and `out` hold m per cluster.
     */
   def residualXtv(xiy: Array[Double], beta: Array[Double], out: Array[Double]): Unit = {
-    var b = 0
-    while (b < nb) {
-      val d = bg.d(b)
-      var st = 0.0
-      var j = 0
-      while (j < m) {
-        var acc = 0.0; var k = 0
-        while (k < m) { acc += d(j * m + k) * beta(k); k += 1 }
-        dv(b * m + j) = acc
-        if (rank2) st += sb(b * m + j) * beta(j)
-        j += 1
-      }
-      sv(b) = st
-      b += 1
+    chunks.blocks { (_, from, until) =>
+      var b = from
+      while (b < until) { blockProducts(b, beta); b += 1 }
     }
-    var i = 0
-    while (i < g) {
-      val b = blockOf(i)
-      val io = i * m
-      var j = 0
-      if (rank2) {
-        var ub = 0.0
-        while (j < m) { ub += u(io + j) * beta(j); j += 1 }
-        val cu = len(b) * ub + sv(b)
-        j = 0
-        while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j) - u(io + j) * cu - sb(b * m + j) * ub; j += 1 }
-      } else
-        while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j); j += 1 }
-      i += 1
+    chunks.clusters { (_, from, until) =>
+      var i = from
+      while (i < until) { residual(i, xiy, beta, out); i += 1 }
     }
+  }
+
+  /** D_b beta and s_b^T beta. */
+  private def blockProducts(b: Int, beta: Array[Double]): Unit = {
+    val d = bg.d(b)
+    var st = 0.0
+    var j = 0
+    while (j < m) {
+      var acc = 0.0; var k = 0
+      while (k < m) { acc += d(j * m + k) * beta(k); k += 1 }
+      dv(b * m + j) = acc
+      if (rank2) st += sb(b * m + j) * beta(j)
+      j += 1
+    }
+    sv(b) = st
+  }
+
+  private def residual(i: Int, xiy: Array[Double], beta: Array[Double], out: Array[Double]): Unit = {
+    val b = blockOf(i)
+    val io = i * m
+    var j = 0
+    if (rank2) {
+      var ub = 0.0
+      while (j < m) { ub += u(io + j) * beta(j); j += 1 }
+      val cu = len(b) * ub + sv(b)
+      j = 0
+      while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j) - u(io + j) * cu - sb(b * m + j) * ub; j += 1 }
+    } else
+      while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j); j += 1 }
   }
 
   /** Fills `out` with sum_i G_i b~_i = X^T Z b; returns sum_i b~_i^T X_i^T y_i. */
@@ -242,42 +320,71 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
     java.util.Arrays.fill(out, 0.0)
     java.util.Arrays.fill(bSum, 0.0)
     java.util.Arrays.fill(ubSum, 0.0)
-    var by = 0.0
-    var i = 0
-    while (i < g) {
-      val b = blockOf(i)
-      var ub = 0.0; var sbb = 0.0
-      var k = 0
-      while (k < s) {
-        val v = bs(i * s + k)
-        bSum(b * s + k) += v
-        by += v * xiy(i * m + re(k))
-        if (rank2) { ub += u(i * m + re(k)) * v; sbb += sb(b * m + re(k)) * v }
-        k += 1
-      }
-      if (rank2) {
-        // u_i (len_b u_i^T b~_i + s_b^T b~_i); the s_b u_i^T b~_i term is summed per block
-        ubSum(b) += ub
-        val c = len(b) * ub + sbb
-        var j = 0
-        while (j < m) { out(j) += u(i * m + j) * c; j += 1 }
-      }
-      i += 1
+    chunks.clusters { (c, from, until) =>
+      val p = parts(c)
+      if (c > 0) java.util.Arrays.fill(p.out, 0.0)
+      if (p.bSum ne bSum) { java.util.Arrays.fill(p.bSum, 0.0); java.util.Arrays.fill(p.ubSum, 0.0) }
+      var by = 0.0
+      var i = from
+      while (i < until) { by = clusterTerms(i, bs, xiy, if (c == 0) out else p.out, p, by); i += 1 }
+      p.by = by
     }
-    var b = 0
-    while (b < nb) {
-      val d = bg.d(b)
+    var by = parts(0).by
+    var c = 1
+    while (c < chunks.count) {
+      val p = parts(c)
+      Chunks.addInto(out, p.out)
+      if (p.bSum ne bSum) { Chunks.addInto(bSum, p.bSum); Chunks.addInto(ubSum, p.ubSum) }
+      by += p.by
+      c += 1
+    }
+    chunks.blocks { (c, from, until) =>
+      val o = if (c == 0) out else { java.util.Arrays.fill(parts(c).out, 0.0); parts(c).out }
+      var b = from
+      while (b < until) { blockTerms(b, o); b += 1 }
+    }
+    c = 1
+    while (c < chunks.blockCount) { Chunks.addInto(out, parts(c).out); c += 1 }
+    by
+  }
+
+  /** Adds cluster i's terms to `out` and to p's block sums; returns
+    * `by0 + b~_i^T X_i^T y_i`.
+    */
+  private def clusterTerms(i: Int, bs: Array[Double], xiy: Array[Double], out: Array[Double], p: Part,
+                           by0: Double): Double = {
+    val b = blockOf(i)
+    var by = by0
+    var ub = 0.0; var sbb = 0.0
+    var k = 0
+    while (k < s) {
+      val v = bs(i * s + k)
+      p.bSum(b * s + k) += v
+      by += v * xiy(i * m + re(k))
+      if (rank2) { ub += u(i * m + re(k)) * v; sbb += sb(b * m + re(k)) * v }
+      k += 1
+    }
+    if (rank2) {
+      // u_i (len_b u_i^T b~_i + s_b^T b~_i); the s_b u_i^T b~_i term is summed per block
+      p.ubSum(b) += ub
+      val c = len(b) * ub + sbb
       var j = 0
-      while (j < m) {
-        var acc = 0.0; var k = 0
-        while (k < s) { acc += d(j * m + re(k)) * bSum(b * s + k); k += 1 }
-        if (rank2) acc += sb(b * m + j) * ubSum(b)
-        out(j) += acc
-        j += 1
-      }
-      b += 1
+      while (j < m) { out(j) += u(i * m + j) * c; j += 1 }
     }
     by
+  }
+
+  /** Adds block b's D_b (sum_{i in b} b~_i) + s_b (sum_{i in b} u_i^T b~_i) to `out`. */
+  private def blockTerms(b: Int, out: Array[Double]): Unit = {
+    val d = bg.d(b)
+    var j = 0
+    while (j < m) {
+      var acc = 0.0; var k = 0
+      while (k < s) { acc += d(j * m + re(k)) * bSum(b * s + k); k += 1 }
+      if (rank2) acc += sb(b * m + j) * ubSum(b)
+      out(j) += acc
+      j += 1
+    }
   }
 }
 
@@ -311,9 +418,10 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
   *    / sigma2 give Tr(G_i (V_i + mu_i mu_i^T)) =
   *    sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T))) + mu_i^T Z_i^T r_i.
   *
-  * The per-block and per-cluster steps are methods of their own so the JIT
-  * compiles them after a few thousand calls rather than waiting for an
-  * on-stack replacement of the loops; buffers are reused across calls.
+  * The block, cluster and combining loops run in Chunks. The per-block and
+  * per-cluster steps are methods of their own so the JIT compiles them
+  * after a few thousand calls rather than waiting for an on-stack
+  * replacement of the loops; buffers are reused across calls.
   */
 private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double) {
   private val s = re.length
@@ -351,17 +459,29 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   private val accB = new Array[Double](nb * ss)
   private val pB = new Array[Double](r2 * s)
   private val qB = new Array[Double](r2)
-  private var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
   /** Block inverses so far that needed more than the base ridge. */
   var escalations = 0
-  // Scratch.
-  private val wBuf = new Array[Double](ss)
-  private val invBuf = new Array[Double](ss)
-  private val xz = new Array[Double](s)
-  private val vx = new Array[Double](s)
-  private val aBuf = new Array[Double](s)
   /** After `run`: sum_i (V_i + mu_i mu_i^T). */
   val sigAcc = new Array[Double](ss)
+  private val chunks = new Chunks(bg)
+
+  /** A chunk's partial sums and scratch; chunk 0 adds into the totals. */
+  private final class Part(c: Int) {
+    private def copy(a: Array[Double]) = if (c == 0 || chunks.ownBlocks) a else new Array[Double](a.length)
+    val accB: Array[Double] = copy(BlockEStep.this.accB)
+    val pB: Array[Double] = copy(BlockEStep.this.pB)
+    val qB: Array[Double] = copy(BlockEStep.this.qB)
+    val sig: Array[Double] = if (c == 0) sigAcc else new Array[Double](ss)
+    var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
+    var tr = 0.0
+    var escalations = 0
+    val wBuf = new Array[Double](ss)
+    val invBuf = new Array[Double](ss)
+    val xz = new Array[Double](s)
+    val vx = new Array[Double](s)
+    val aBuf = new Array[Double](s)
+  }
+  private val parts = Array.tabulate(chunks.count)(new Part(_))
 
   /** Writes every cluster's posterior mean into `mu` (flat, s per cluster),
     * fills `sigAcc` and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xtr`
@@ -371,22 +491,55 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     java.util.Arrays.fill(accB, 0.0)
     java.util.Arrays.fill(pB, 0.0)
     java.util.Arrays.fill(qB, 0.0)
-    muXtr = 0.0
-    var b = 0
-    while (b < nb) { invertBlock(b, sigma2, sigmaInv); b += 1 }
-    var i = 0
-    while (i < g) { cluster(i, xtr, sigma2, mu); i += 1 }
+    chunks.blocks { (c, from, until) =>
+      val p = parts(c)
+      p.escalations = 0
+      var b = from
+      while (b < until) { invertBlock(b, sigma2, sigmaInv, p); b += 1 }
+    }
+    chunks.clusters { (c, from, until) =>
+      val p = parts(c)
+      if (p.accB ne accB) {
+        java.util.Arrays.fill(p.accB, 0.0); java.util.Arrays.fill(p.pB, 0.0); java.util.Arrays.fill(p.qB, 0.0)
+      }
+      p.muXtr = 0.0
+      var i = from
+      while (i < until) { cluster(i, xtr, sigma2, mu, p); i += 1 }
+    }
+    var muXtr = parts(0).muXtr
+    var c = 1
+    while (c < chunks.count) {
+      val p = parts(c)
+      if (p.accB ne accB) { Chunks.addInto(accB, p.accB); Chunks.addInto(pB, p.pB); Chunks.addInto(qB, p.qB) }
+      muXtr += p.muXtr
+      c += 1
+    }
     java.util.Arrays.fill(sigAcc, 0.0)
-    var tr = 0.0
-    b = 0
-    while (b < nb) { tr += addBlock(b, sigmaInv); b += 1 }
+    chunks.blocks { (c, from, until) =>
+      val p = parts(c)
+      if (c > 0) java.util.Arrays.fill(p.sig, 0.0)
+      var tr = 0.0
+      var b = from
+      while (b < until) { tr += addBlock(b, sigmaInv, p.sig); b += 1 }
+      p.tr = tr
+    }
+    var tr = parts(0).tr
+    escalations += parts(0).escalations
+    c = 1
+    while (c < chunks.blockCount) {
+      val p = parts(c)
+      Chunks.addInto(sigAcc, p.sig)
+      tr += p.tr
+      escalations += p.escalations
+      c += 1
+    }
     sigma2 * tr + muXtr
   }
 
-  /** Adds block b's sum_{i in b} (V_i + mu_i mu_i^T) to `sigAcc`; returns
+  /** Adds block b's sum_{i in b} (V_i + mu_i mu_i^T) to `sig`; returns
     * its sum of s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T)).
     */
-  private def addBlock(b: Int, sigmaInv: Array[Double]): Double = {
+  private def addBlock(b: Int, sigmaInv: Array[Double], sig: Array[Double]): Double = {
     val off = b * ss
     val c = cnt(b).toDouble
     var tr = c * s
@@ -399,7 +552,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
           val tj = tZ(b * s + j); val tk = tZ(b * s + k)
           v -= pB(b * s + j) * tk + tj * pB(b * s + k) + qB(b) * tj * tk
         }
-        sigAcc(j * s + k) += v
+        sig(j * s + k) += v
         tr -= sigmaInv(k * s + j) * v
         if (j == k) tr -= lambda(b) * v
         k += 1
@@ -410,8 +563,9 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   }
 
   /** A_b^{-1} (+ ridge, escalated on failure), and t_b, s_b^T t_b. */
-  private def invertBlock(b: Int, sigma2: Double, sigmaInv: Array[Double]): Unit = {
+  private def invertBlock(b: Int, sigma2: Double, sigmaInv: Array[Double], p: Part): Unit = {
     val off = b * ss
+    val wBuf = p.wBuf; val invBuf = p.invBuf
     var lam = math.max(ridge, 1e-12) * Mat.ridgeScale(sigmaInv, s)
     var k = 0
     var ok = false
@@ -426,7 +580,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       attempt += 1
     }
     require(ok, "cluster covariance not invertible")
-    if (attempt > 1) escalations += 1
+    if (attempt > 1) p.escalations += 1
     System.arraycopy(invBuf, 0, aInv, off, ss)
     lambda(b) = lam
     if (rank2) {
@@ -444,11 +598,12 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     }
   }
 
-  /** Cluster i's posterior mean into `mu`, and its terms of the block sums. */
-  private def cluster(i: Int, xtr: Array[Double], sigma2: Double, mu: Array[Double]): Unit = {
+  /** Cluster i's posterior mean into `mu`, and its terms of p's block sums. */
+  private def cluster(i: Int, xtr: Array[Double], sigma2: Double, mu: Array[Double], p: Part): Unit = {
     val b = blockOf(i)
     val off = b * ss
     val mo = i * s
+    val xz = p.xz; val aBuf = p.aBuf; val accB = p.accB
     var j = 0
     while (j < s) { xz(j) = xtr(i * m + re(j)); j += 1 }
     var i11 = 0.0
@@ -464,8 +619,9 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       }
     } else {
       val to = b * s
+      val vx = p.vx
       // vx = A_b^{-1} Z_i^T r_i, a = A_b^{-1} u_i; K's entries; U^T A_b^{-1} Z_i^T r_i
-      var ua = 0.0; var ut = 0.0; var p = 0.0; var q = 0.0
+      var ua = 0.0; var ut = 0.0; var pa = 0.0; var q = 0.0
       j = 0
       while (j < s) {
         var accX = 0.0; var accU = 0.0
@@ -474,7 +630,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
         vx(j) = accX; aBuf(j) = accU
         val u = uZ(mo + j); val t = tZ(to + j)
         ua += u * accU; ut += u * t
-        p += accU * xz(j); q += t * xz(j)
+        pa += accU * xz(j); q += t * xz(j)
         j += 1
       }
       val k11 = ua
@@ -483,18 +639,19 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       val det = k11 * k22 - k12 * k12
       i11 = k22 / det
       val i12 = -k12 / det; val i22 = k11 / det
-      val c1 = i11 * p + i12 * q
-      val c2 = i12 * p + i22 * q
+      val c1 = i11 * pa + i12 * q
+      val c2 = i12 * pa + i22 * q
       j = 0
       while (j < s) {
         val aj = aBuf(j)
         mu(mo + j) = (vx(j) - aj * c1 - tZ(to + j) * c2) / sigma2
-        pB(to + j) += i12 * aj
+        p.pB(to + j) += i12 * aj
         j += 1
       }
-      qB(b) += i22
+      p.qB(b) += i22
     }
     // accB += mu mu^T - k11 a a^T
+    var muXtr = p.muXtr
     j = 0
     while (j < s) {
       val mj = mu(mo + j)
@@ -508,6 +665,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
         while (k < s) { accB(ro + k) += mj * mu(mo + k); k += 1 }
       j += 1
     }
+    p.muXtr = muXtr
   }
 }
 

@@ -10,7 +10,8 @@ import scala.util.Random
 
 /** Relations a ranking must keep when its input changes in ways the
   * method cannot see (row order, partitioning) or sees only as a unit
-  * (the measure's scale), checked through `Reptile.rankDim`.
+  * (the measure's scale), checked through `Reptile.rankDim` and
+  * `Reptile.recommend`.
   */
 class MetamorphicSpec extends SparkSpec {
 
@@ -58,6 +59,19 @@ class MetamorphicSpec extends SparkSpec {
       val base = call.rank(fact)
       for (seed <- Seq(1L, 2L))
         assertSameRanking(call.rank(shuffled(fact, seed)), base, s"$name, shuffle seed $seed")
+    }
+  }
+
+  test("shuffling the fact rows and repartitioning leave recommend's hierarchy order, rankings and scores unchanged") {
+    val (fact, call) = compas
+    def recommend(df: DataFrame): Vector[DimRankResult] =
+      Reptile.recommend(spark, df, call.dims, call.drilled, call.filters, call.complaint, call.measure, Nil, call.cfg)
+    val base = recommend(fact)
+    assert(base.size == 2) // time (day) and race
+    for (seed <- Seq(1L, 2L)) {
+      val got = recommend(shuffled(fact, seed))
+      assert(got.map(_.dim) == base.map(_.dim), s"hierarchy order, shuffle seed $seed")
+      got.zip(base).foreach { case (a, b) => assertSameRanking(a, b, s"${b.dim}, shuffle seed $seed") }
     }
   }
 

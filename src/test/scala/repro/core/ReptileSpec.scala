@@ -181,6 +181,36 @@ class ReptileSpec extends SparkSpec {
     assert(r5.count == 0.0) // clamped
   }
 
+  test("a repair that predicts each candidate's observed statistics leaves the complaint score at its baseline") {
+    // ofla-v3 has no 1986 rows, so one candidate is an empty group.
+    val fact = panel(11).filterNot(r => r._1 == "1986" && r._3 == "ofla-v3").toDF("year", "district", "village", "sev")
+    val kindOf = Map("count" -> StatKind.CountStat, "mean" -> StatKind.MeanStat, "sum" -> StatKind.SumStat)
+    def stat(kind: StatKind, g: GroupStats): Double = kind match {
+      case StatKind.CountStat => g.count
+      case StatKind.MeanStat  => g.mean
+      case StatKind.SumStat   => g.sum
+    }
+    for ((agg, sumDirect) <- Seq(AggType.Count -> false, AggType.Mean -> false, AggType.Std -> false,
+                                 AggType.Sum -> false, AggType.Sum -> true)) {
+      val complaint = Complaint(agg, Direction.TooLow)
+      val res = Reptile.rankDim(spark, fact, dims,
+        drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("year" -> "1986", "district" -> "ofla"),
+        complaint = complaint, measure = "sev", targetDim = "geo", cfg = cfg.copy(sumDirect = sumDirect))
+      assert(res.candidates.exists(_.observed == GroupStats.empty))
+      val obsAll = res.candidates.map(_.observed)
+      res.candidates.zipWithIndex.foreach { case (c, ci) =>
+        val kinds = c.predicted.keys.toSeq.map(kindOf)
+        val rep = Reptile.repair(c.observed, kinds.map(k => k.name -> stat(k, c.observed)).toMap, kinds)
+        val score = complaint.score(GroupStats.combine(obsAll.updated(ci, rep)))
+        val what = s"${agg.name} complaint, kinds ${kinds.map(_.name).mkString(",")}, ${c.values("village")}"
+        // A SUM repair sets mean = sum / count, which can move the mean by an ulp.
+        val tol = if (kinds.contains(StatKind.SumStat)) 1e-12 * math.abs(res.baselineScore) else 0.0
+        assert(math.abs(score - res.baselineScore) <= tol, s"$what: $score vs ${res.baselineScore}")
+      }
+    }
+  }
+
   test("linear-model configuration also runs") {
     val fact = panel(10).toDF("year", "district", "village", "sev")
     val res = Reptile.rankDim(spark, fact, dims,

@@ -1,5 +1,6 @@
 package repro.core.model
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
@@ -7,16 +8,19 @@ import repro.core.linalg.Mat
 import scala.util.Random
 
 /** The block-plus-rank-2 E-step against a direct per-cluster solve:
-  * W_i = Z_i^T Z_i / sigma2 + Sigma^{-1} + lambda I inverted outright.
+  * W_i = Z_i^T Z_i / sigma2 + Sigma^{-1} + lambda I inverted outright;
+  * and a fit split into chunks against itself on other thread counts.
   */
 class BlockEStepSpec extends AnyFunSuite {
 
-  /** time x geo(district -> village): three parent blocks; `fv` (3) varies. */
-  private def fixture(seed: Long): FactorizedMatrix = {
+  /** time x geo(district -> village): one parent block per district, one
+    * cluster per (time, district); `fv` (3) varies.
+    */
+  private def fixture(seed: Long, times: Int = 3, districts: Int = 3, villages: Int = 4): FactorizedMatrix = {
     val rng = new Random(seed)
-    val time = HierRelation("time", Seq("t"), (0 until 3).map(t => Seq(s"t$t")))
+    val time = HierRelation("time", Seq("t"), (0 until times).map(t => Seq(s"t$t")))
     val geo = HierRelation("geo", Seq("d", "v"),
-      for { d <- 0 until 3; v <- 0 until 4 } yield Seq(s"d$d", s"d$d-v$v"))
+      for { d <- 0 until districts; v <- 0 until villages } yield Seq(s"d$d", s"d$d-v$v"))
     val fmap = scala.collection.mutable.HashMap.empty[String, Double]
     def feat(v: String): Double = fmap.getOrElseUpdate(v, rng.nextGaussian())
     new FactorizedMatrix(Vector(time, geo), Vector(
@@ -29,45 +33,87 @@ class BlockEStepSpec extends AnyFunSuite {
   private def relErr(a: Array[Double], b: Array[Double]): Double =
     a.zip(b).map { case (x, y) => math.abs(x - y) }.max / b.map(math.abs).max
 
-  test("posterior means, the Sigma sum and the trace term match a direct per-cluster solve") {
+  /** The E-step on both backends against a direct per-cluster solve. */
+  private def checkAgainstDirect(fm: FactorizedMatrix, seed: Long, re: Array[Int]): Unit = {
     val ridge = 1e-2 // large enough that a dropped ridge term would show
-    for (seed <- 0 until 3; re <- Seq(Array(0, 1, 2, 3), Array(0, 3), Array(1, 2), Array(3))) {
-      val fm = fixture(seed)
-      val rng = new Random(seed + 100)
-      val s = re.length
-      val sigma2 = 0.3
-      val base = new Mat(s, s, Array.fill(s * s)(rng.nextGaussian()))
-      val sigmaInv = (base.t * base + Mat.eye(s)).inverse
-      val r = Array.fill(fm.n)(rng.nextGaussian())
-      val lambda = ridge * Mat.ridgeScale(sigmaInv.a, s)
+    val rng = new Random(seed + 100)
+    val s = re.length
+    val sigma2 = 0.3
+    val base = new Mat(s, s, Array.fill(s * s)(rng.nextGaussian()))
+    val sigmaInv = (base.t * base + Mat.eye(s)).inverse
+    val r = Array.fill(fm.n)(rng.nextGaussian())
+    val lambda = ridge * Mat.ridgeScale(sigmaInv.a, s)
 
-      // Direct: one s x s inverse per cluster.
-      val g = fm.numClusters
-      val muRef = new Array[Double](g * s)
-      val sumRef = Mat.zeros(s, s)
-      var trRef = 0.0
-      for (i <- 0 until g) {
-        val (start, l) = fm.clusterRanges(i)
-        val zi = Mat.fromRows((0 until l).map(k => re.toSeq.map(j => fm.rowOf(start + k)(j))))
-        val gi = zi.t * zi
-        val v = (gi * (1.0 / sigma2) + sigmaInv + Mat.eye(s) * lambda).inverse
-        val mu = v.mv(zi.tmv(r.slice(start, start + l))).map(_ / sigma2)
-        val vmm = v + Mat.outer(mu)
-        mu.copyToArray(muRef, i * s)
-        (0 until s * s).foreach(k => sumRef.a(k) += vmm.a(k))
-        trRef += (gi * vmm).trace
-      }
-
-      for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(fm.materialize, fm.clusterRanges))) {
-        val est = new BlockEStep(bk.blockGrams, fm.m, re, ridge)
-        val mu = new Array[Double](g * s)
-        val tr = est.run(bk.clusterXtv(r), sigma2, sigmaInv.a, mu)
-        val what = s"${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}"
-        assert(est.escalations == 0, what)
-        assert(relErr(mu, muRef) < 1e-9, s"mu, $what")
-        assert(relErr(est.sigAcc, sumRef.a) < 1e-9, s"Sigma sum, $what")
-        assert(math.abs(tr - trRef) < 1e-9 * math.abs(trRef), s"trace, $what")
-      }
+    // Direct: one s x s inverse per cluster.
+    val g = fm.numClusters
+    val muRef = new Array[Double](g * s)
+    val sumRef = Mat.zeros(s, s)
+    var trRef = 0.0
+    for (i <- 0 until g) {
+      val (start, l) = fm.clusterRanges(i)
+      val zi = Mat.fromRows((0 until l).map(k => re.toSeq.map(j => fm.rowOf(start + k)(j))))
+      val gi = zi.t * zi
+      val v = (gi * (1.0 / sigma2) + sigmaInv + Mat.eye(s) * lambda).inverse
+      val mu = v.mv(zi.tmv(r.slice(start, start + l))).map(_ / sigma2)
+      val vmm = v + Mat.outer(mu)
+      mu.copyToArray(muRef, i * s)
+      (0 until s * s).foreach(k => sumRef.a(k) += vmm.a(k))
+      trRef += (gi * vmm).trace
     }
+
+    for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(fm.materialize, fm.clusterRanges))) {
+      val est = new BlockEStep(bk.blockGrams, fm.m, re, ridge)
+      val mu = new Array[Double](g * s)
+      val tr = est.run(bk.clusterXtv(r), sigma2, sigmaInv.a, mu)
+      val what = s"${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}"
+      assert(est.escalations == 0, what)
+      assert(relErr(mu, muRef) < 1e-9, s"mu, $what")
+      assert(relErr(est.sigAcc, sumRef.a) < 1e-9, s"Sigma sum, $what")
+      assert(math.abs(tr - trRef) < 1e-9 * math.abs(trRef), s"trace, $what")
+    }
+  }
+
+  test("posterior means, the Sigma sum and the trace term match a direct per-cluster solve") {
+    for (seed <- 0 until 3; re <- Seq(Array(0, 1, 2, 3), Array(0, 3), Array(1, 2), Array(3)))
+      checkAgainstDirect(fixture(seed), seed, re)
+  }
+
+  /** 2,200 clusters in two parent blocks: three chunks on either backend. */
+  private def chunked(seed: Long): FactorizedMatrix = fixture(seed, times = 1100, districts = 2, villages = 3)
+
+  test("a fixture of several chunks matches the direct per-cluster solve") {
+    val fm = chunked(7)
+    assert(fm.blocks.size >= 2)
+    for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(fm.materialize, fm.clusterRanges)))
+      assert(new Chunks(bk.blockGrams).count >= 3, bk.getClass.getSimpleName)
+    for (re <- Seq(Array(0, 1, 2, 3), Array(0))) checkAgainstDirect(fm, 7, re)
+  }
+
+  test("a fit gives the same bits on one thread as on many") {
+    val fm = chunked(8)
+    val rng = new Random(18)
+    val y = fm.xv(Array(1.0, 0.5, -0.3, 0.8))
+    fm.clusterRanges.foreach { case (s, l) =>
+      val b = rng.nextGaussian()
+      (s until s + l).foreach(i => y(i) += b + rng.nextGaussian())
+    }
+    val pools = Seq(new ForkJoinPool(1), new ForkJoinPool(4))
+    try {
+      for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(fm.materialize, fm.clusterRanges));
+           re <- Seq(None, Some(Array(0)))) {
+        def fit(): MultiLevelFit = MultiLevelEM.fit(bk, y, 8, reCols = re)
+        val common = fit()
+        for (pool <- pools) {
+          val got = pool.submit(new Callable[MultiLevelFit] { def call(): MultiLevelFit = fit() }).get()
+          val what = s"${bk.getClass.getSimpleName} ${re.fold("all columns")(_.mkString("reCols ", ",", ""))}, " +
+            s"${pool.getParallelism} thread(s) vs the common pool"
+          assert(java.util.Arrays.equals(got.beta, common.beta), s"beta, $what")
+          assert(java.util.Arrays.equals(got.sigma.a, common.sigma.a), s"Sigma, $what")
+          assert(java.lang.Double.compare(got.sigma2, common.sigma2) == 0, s"sigma2, $what")
+          assert(java.util.Arrays.equals(got.bs, common.bs), s"bs, $what")
+          assert(got.ridgeEscalations == common.ridgeEscalations, s"ridge escalations, $what")
+        }
+      }
+    } finally pools.foreach(_.shutdown())
   }
 }
