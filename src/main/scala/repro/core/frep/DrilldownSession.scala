@@ -2,54 +2,33 @@ package repro.core.frep
 
 import scala.collection.mutable
 
-/** The decomposed aggregates of one hierarchy at one depth, restricted to
-  * the hierarchy (Section 4.2.1): per-attribute COUNT maps, within-pair
-  * COF maps, and the hierarchy TOTAL. Global aggregates are these values
-  * scaled by the product of the other hierarchies' TOTALs ("zoom" scalars)
-  * — the independence between hierarchies means cross-hierarchy COF is a
-  * cartesian product and is never materialized.
-  */
-final case class DimAggs(
-    dim: String,
-    depth: Int,
-    total: Long,
-    counts: Vector[Map[String, Long]],
-    cofs: Map[(Int, Int), Map[(String, String), Long]],
-)
-
-object DimAggs {
-  /** Work-shared computation (Algorithm 10 flavor): one scan of the
-    * truncated relation produces every COUNT and within-hierarchy COF.
-    */
-  def compute(rel: HierRelation): DimAggs = {
-    val t = rel.depth
-    val counts = rel.attrs.indices.toVector.map(ai => rel.countOf(ai).map { case (k, v) => k -> v.toLong })
-    val cofs = (for { i <- 0 until t; j <- 0 until i } yield {
-      (i, j) -> rel.cofWithin(i, j).map { case (k, v) => k -> v.toLong }
-    }).toMap
-    DimAggs(rel.dim, t, rel.total.toLong, counts, cofs)
-  }
-}
-
 sealed trait DrillStrategy
 object DrillStrategy {
-  /** Recompute every hierarchy's aggregates on each invocation. */
+  /** Rebuild every hierarchy on each invocation. */
   case object Static extends DrillStrategy
-  /** Recompute only the drill-down hierarchy; update the others' zoom
+  /** Rebuild only the drill-down hierarchy; update the others' zoom
     * scalars in O(1) using hierarchy independence (Section 4.4).
     */
   case object Dynamic extends DrillStrategy
-  /** Dynamic plus a cache of per-(hierarchy, depth) aggregates reused
+  /** Dynamic plus a cache of per-(hierarchy, depth) relations reused
     * across successive Reptile invocations (Appendix J).
     */
   case object DynamicCached extends DrillStrategy
 }
 
-/** Aggregate state across successive drill-down evaluations.
+/** Drill-down state across successive Reptile invocations.
+  *
+  * Within one hierarchy the decomposed aggregates of Section 4.2.1 are the
+  * runs of its sorted relation at the drilled depth: a value's COUNT is
+  * the length of its run in `segments`, the COF of a value and an ancestor
+  * is the value's COUNT, and TOTAL is `total`. Global aggregates are these
+  * scaled by the product of the other hierarchies' TOTALs ("zoom"
+  * scalars); hierarchy independence means cross-hierarchy COF is a
+  * cartesian product and is never materialized.
   *
   * `evaluate(target)` plays one candidate drill-down inside one Reptile
-  * invocation: it produces the decomposed aggregates of every hierarchy
-  * with `target` drilled one level deeper, per the configured strategy.
+  * invocation: it produces the relation of every hierarchy with `target`
+  * drilled one level deeper, per the configured strategy.
   * `commit(target)` makes the drill permanent (the user picked it).
   */
 final class DrilldownSession(
@@ -58,30 +37,30 @@ final class DrilldownSession(
     initialDepths: Map[String, Int],
 ) {
   private val depths = mutable.Map.from(initialDepths)
-  private val current = mutable.Map.empty[String, DimAggs]
-  private val cache = mutable.Map.empty[(String, Int), DimAggs]
-  /** Number of full aggregate recomputations performed (for assertions). */
+  private val current = mutable.Map.empty[String, HierRelation]
+  private val cache = mutable.Map.empty[(String, Int), HierRelation]
+  /** Number of relations rebuilt (for assertions). */
   var recomputations: Int = 0
 
   private def relOf(dim: String): HierRelation =
     fullRelations.find(_.dim == dim).getOrElse(throw new NoSuchElementException(dim))
 
-  private def computeAt(dim: String, depth: Int): DimAggs = {
+  private def computeAt(dim: String, depth: Int): HierRelation = {
     strategy match {
       case DrillStrategy.DynamicCached =>
-        cache.getOrElseUpdate((dim, depth), { recomputations += 1; DimAggs.compute(relOf(dim).truncate(depth)) })
+        cache.getOrElseUpdate((dim, depth), { recomputations += 1; relOf(dim).truncate(depth) })
       case _ =>
         recomputations += 1
-        DimAggs.compute(relOf(dim).truncate(depth))
+        relOf(dim).truncate(depth)
     }
   }
 
-  /** Aggregates of every hierarchy with `target` one level deeper, plus
-    * the per-hierarchy zoom scalars that lift them to global aggregates.
+  /** The relation of every hierarchy with `target` one level deeper, plus
+    * the per-hierarchy zoom scalars that lift its aggregates to global ones.
     */
-  def evaluate(target: String): (Map[String, DimAggs], Map[String, Double]) = {
+  def evaluate(target: String): (Map[String, HierRelation], Map[String, Double]) = {
     val evalDepths = depths.toMap.updated(target, depths.getOrElse(target, 0) + 1)
-    val aggs: Map[String, DimAggs] = strategy match {
+    val rels: Map[String, HierRelation] = strategy match {
       case DrillStrategy.Static =>
         evalDepths.collect { case (d, dep) if dep > 0 => d -> computeAt(d, dep) }
       case DrillStrategy.Dynamic | DrillStrategy.DynamicCached =>
@@ -92,17 +71,17 @@ final class DrilldownSession(
               d -> current.getOrElseUpdate(d, computeAt(d, dep)) // O(1) reuse once warm
         }
     }
-    val totals = aggs.map { case (d, a) => d -> a.total }
-    val zooms = aggs.map { case (d, _) =>
+    val totals = rels.map { case (d, r) => d -> r.total }
+    val zooms = rels.map { case (d, _) =>
       d -> totals.collect { case (o, t) if o != d => t.toDouble }.product
     }
-    (aggs, zooms)
+    (rels, zooms)
   }
 
   def commit(target: String): Unit = {
     val newDepth = depths.getOrElse(target, 0) + 1
     depths.update(target, newDepth)
-    current.remove(target) // its stored aggregates are for the old depth
+    current.remove(target) // its stored relation is for the old depth
     current.update(target, computeAt(target, newDepth))
   }
 

@@ -29,71 +29,59 @@ final class HierRelation private (
   val total: Int = rows.size
 
   def depth: Int = attrs.size
-  def attrIndex(a: String): Int = {
-    val i = attrs.indexOf(a)
-    require(i >= 0, s"attribute $a not in hierarchy $dim (${attrs.mkString(",")})")
-    i
-  }
 
-  /** Per attribute: the contiguous runs of each value, in row order.
-    * FD-validated: a value that re-appears after its run ended means the
-    * hierarchy is not a tree (e.g. one village in two districts).
+  /** Per attribute: the contiguous runs of each value, in row order. A
+    * run's length is the value's COUNT within the hierarchy, and also its
+    * COF with any ancestor, since a value has one parent.
+    *
+    * One pass over the rows: where row `i` first differs from row `i - 1`
+    * at attribute `a`, the runs of `a` and of every later attribute end.
+    * A run is thus a run of the prefix `A_1..A_a`, which under the FDs is
+    * a run of the value itself; a value that recurs in a second run is
+    * exactly an FD violation (one child, two parents, e.g. one village in
+    * two districts). The error names the first such attribute and, in it,
+    * the value that recurs first.
     */
-  val segments: Vector[Vector[Seg]] = attrs.indices.toVector.map { ai =>
-    val segs = Vector.newBuilder[Seg]
-    val seen = scala.collection.mutable.HashSet.empty[String]
-    var start = 0
+  val segments: Vector[Vector[Seg]] = {
+    val segs = Array.fill(depth)(Vector.newBuilder[Seg])
+    val seen = Array.fill(depth)(scala.collection.mutable.HashSet.empty[String])
+    val recurring = new Array[String](depth)
+    val start = new Array[Int](depth)
     var i = 1
-    // A segment is a run of rows sharing the full prefix A_1..A_i: under the
-    // FDs this equals a run of the value itself; a value recurring in two
-    // prefix-runs is exactly an FD violation (one child, two parents).
     while (i <= total) {
-      if (i == total || rows(i).take(ai + 1) != rows(start).take(ai + 1)) {
-        val v = rows(start)(ai)
-        if (!seen.add(v))
-          throw new IllegalArgumentException(
-            s"FD violation in hierarchy $dim: value '$v' of ${attrs(ai)} appears under multiple parents")
-        segs += Seg(v, start, i - start)
-        start = i
+      var a = 0
+      if (i < total) while (rows(i)(a) == rows(i - 1)(a)) a += 1
+      while (a < depth) {
+        val v = rows(start(a))(a)
+        if (!seen(a).add(v) && recurring(a) == null) recurring(a) = v
+        segs(a) += Seg(v, start(a), i - start(a))
+        start(a) = i
+        a += 1
       }
       i += 1
     }
-    segs.result()
-  }
-
-  /** COUNT_{A_i} restricted to this hierarchy: leaves per value. */
-  def countOf(ai: Int): Map[String, Int] = segments(ai).map(s => s.value -> s.len).toMap
-
-  /** COF_{A_i, A_j} restricted to this hierarchy (both attrs inside it). */
-  def cofWithin(ai: Int, aj: Int): Map[(String, String), Int] = {
-    val m = scala.collection.mutable.HashMap.empty[(String, String), Int]
-    rows.foreach { r => val k = (r(ai), r(aj)); m.update(k, m.getOrElse(k, 0) + 1) }
-    m.toMap
+    val bad = recurring.indexWhere(_ != null)
+    if (bad >= 0)
+      throw new IllegalArgumentException(
+        s"FD violation in hierarchy $dim: value '${recurring(bad)}' of ${attrs(bad)} appears under multiple parents")
+    segs.iterator.map(_.result()).toVector
   }
 
   /** Blocks of rows sharing the full prefix `A_1..A_{k-1}` — i.e. the
-    * children groups ("clusters") of the most specific attribute. A
-    * single-attribute hierarchy has one block covering all rows.
+    * children groups ("clusters") of the most specific attribute: the runs
+    * of `A_{k-1}`. A single-attribute hierarchy has one block covering all
+    * rows.
     */
   val parentBlocks: Vector[(Int, Int)] =
-    if (attrs.size == 1) Vector((0, total))
-    else {
-      val blocks = Vector.newBuilder[(Int, Int)]
-      var start = 0
-      var i = 1
-      val p = attrs.size - 1
-      while (i <= total) {
-        if (i == total || rows(i).take(p) != rows(start).take(p)) { blocks += ((start, i - start)); start = i }
-        i += 1
-      }
-      blocks.result()
-    }
+    if (depth == 1) Vector((0, total)) else segments(depth - 2).map(s => (s.start, s.len))
 
-  /** Distinct prefixes of the first `d` attributes, as a new relation. */
+  /** Distinct prefixes of the first `d` attributes, as a new relation: the
+    * first row of each run of `A_d`, already sorted and distinct.
+    */
   def truncate(d: Int): HierRelation = {
     require(d >= 1 && d <= attrs.size, s"bad truncate depth $d for $dim")
     if (d == attrs.size) this
-    else HierRelation(dim, attrs.take(d), rows.map(_.take(d)))
+    else new HierRelation(dim, attrs.take(d), segments(d - 1).map(s => rows(s.start).take(d)))
   }
 
   lazy val indexByRow: Map[Vector[String], Int] = rows.zipWithIndex.toMap
@@ -102,16 +90,20 @@ final class HierRelation private (
     indexByRow.getOrElse(tuple.toVector,
       throw new NoSuchElementException(s"tuple ${tuple.mkString(",")} not in hierarchy $dim"))
 
-  /** Row range [start, end) whose prefix (first `prefix.size` attrs) matches. */
+  /** Per attribute: each value's run. */
+  private lazy val segmentOf: Vector[Map[String, Seg]] = segments.map(_.iterator.map(s => s.value -> s).toMap)
+
+  /** Row range [start, end) whose prefix (first `prefix.size` attrs)
+    * matches: the run of the prefix's last value, if its first row carries
+    * the whole prefix.
+    */
   def blockOfPrefix(prefix: Seq[String]): (Int, Int) = {
     if (prefix.isEmpty) (0, total)
     else {
       val p = prefix.toVector
-      val first = rows.indexWhere(_.take(p.size) == p)
-      require(first >= 0, s"prefix ${p.mkString(",")} not found in hierarchy $dim")
-      var end = first
-      while (end < total && rows(end).take(p.size) == p) end += 1
-      (first, end)
+      val seg = segmentOf.lift(p.size - 1).flatMap(_.get(p.last)).filter(s => rows(s.start).take(p.size) == p)
+      require(seg.isDefined, s"prefix ${p.mkString(",")} not found in hierarchy $dim")
+      (seg.get.start, seg.get.start + seg.get.len)
     }
   }
 }

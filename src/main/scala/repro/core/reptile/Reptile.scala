@@ -94,6 +94,23 @@ final class Drilldown(
 
   val observed: Map[Vector[String], GroupStats] = keys.zip(stats).toMap
 
+  /** The groups a complaint's drill-down ranks: the siblings under the
+    * complaint tuple in the last hierarchy. `filters` holds the tuple's
+    * value of every drilled attribute. A candidate is its row in each
+    * hierarchy (the tuple's row in all but the last) and its group key.
+    */
+  def candidates(filters: Map[String, String]): Vector[(Vector[Int], Vector[String])] = {
+    def filterOf(a: String): String =
+      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
+    val fixedRows = used.init.zipWithIndex.map { case ((d, dep), h) =>
+      hiers(h).rowIndexOf(d.attrs.take(dep).map(filterOf))
+    }
+    val (target, tDepth) = used.last
+    val (start, end) = hiers.last.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
+    val fixedKey = fixedRows.indices.flatMap(h => hiers(h).rows(fixedRows(h)))
+    (start until end).toVector.map(r => (fixedRows :+ r, (fixedKey ++ hiers.last.rows(r)).toVector))
+  }
+
   /** Each group's value of the statistic a `kind` model is trained on. */
   def targets(kind: StatKind, logTransform: Boolean): Array[Double] = {
     val raw = kind match {
@@ -277,6 +294,8 @@ object Reptile {
         if (cfg.sumDirect) Seq(StatKind.SumStat) else Seq(StatKind.CountStat, StatKind.MeanStat)
     }
 
+    val groups = dd.candidates(filters)
+
     // One model per statistic kind, all over the same hierarchies.
     val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
       val fm = new FactorizedMatrix(hiers, dd.features(kind, aux, cfg))
@@ -284,20 +303,9 @@ object Reptile {
       kind -> (fm, predictions(fm, y, cfg))
     }.toMap
 
-    // Candidate groups: siblings under the complaint tuple.
     val fm0 = perKind(kinds.head)._1
-    def filterOf(a: String): String =
-      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
-    val fixedRows: Vector[Int] = dd.used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
-      hiers(h).rowIndexOf(d.attrs.take(dep).map(filterOf))
-    }
-    val tHier = hiers.last
-    val (cStart, cEnd) = tHier.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
-    val fixedKey = fixedRows.indices.flatMap(h => hiers(h).rows(fixedRows(h)))
-
-    val candidates = (cStart until cEnd).toVector.map { r =>
-      val idx = fm0.indexOf(fixedRows :+ r)
-      val key = (fixedKey ++ tHier.rows(r)).toVector
+    val candidates = groups.map { case (rowIdxs, key) =>
+      val idx = fm0.indexOf(rowIdxs)
       val obs = dd.observed.getOrElse(key, GroupStats.empty)
       val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)._2(idx)).toMap
       (dd.attrs.zip(key).toMap, obs, repair(obs, preds, kinds), preds)

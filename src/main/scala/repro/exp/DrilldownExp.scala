@@ -4,10 +4,11 @@ import repro.core.frep.{DrillStrategy, DrilldownSession, HierRelation}
 
 /** Figure 9: drill-down optimization. Two 6-attribute hierarchies A and B;
   * three successive Reptile invocations each evaluate both candidate
-  * drill-downs and commit A. Strategies: Static recomputes all decomposed
-  * aggregates each time; Dynamic exploits hierarchy independence (O(1)
-  * zoom updates for the non-target hierarchy); Cache+Dynamic additionally
-  * reuses B's aggregates across invocations.
+  * drill-downs and commit A. Strategies: Static rebuilds every hierarchy's
+  * relation (its decomposed aggregates) each time; Dynamic exploits
+  * hierarchy independence (O(1) zoom updates for the non-target
+  * hierarchy); Cache+Dynamic additionally reuses B's relations across
+  * invocations.
   */
 object DrilldownExp {
 

@@ -96,17 +96,12 @@ object EndToEndExp {
         sparkMs, reptileMs, matlabMs)
 
       // ---- drill: fix the target's new attribute to a concrete group ----
-      val tHier = hiers.last
-      val parentPrefix = target.attrs.take(tDepth - 1).map(filters)
-      val (bs, be) = tHier.blockOfPrefix(parentPrefix)
-      val fixedKey = used.dropRight(1).zipWithIndex.flatMap { case ((d, dep), h) =>
-        hiers(h).rows(hiers(h).rowIndexOf(d.attrs.take(dep).map(filters)))
-      }
       // deterministic stand-in for the paper's "return a random group":
       // the candidate with the largest observed count (always non-empty).
-      val bestRow = (bs until be).maxBy(r => dd.observed.getOrElse(fixedKey ++ tHier.rows(r), GroupStats.empty).count)
-      val newAttr = target.attrs(tDepth - 1)
-      filters += (newAttr -> tHier.rows(bestRow)(tDepth - 1))
+      val (_, bestKey) = dd.candidates(filters).maxBy { case (_, key) =>
+        dd.observed.getOrElse(key, GroupStats.empty).count
+      }
+      filters += (target.attrs(tDepth - 1) -> bestKey.last)
       drilled += (targetName -> tDepth)
     }
     fact.unpersist()

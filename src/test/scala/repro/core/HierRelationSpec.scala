@@ -3,6 +3,8 @@ package repro.core
 import repro.SparkSpec
 import repro.core.frep.{HierRelation, Seg}
 import repro.core.reptile.{Dimension, Reptile}
+import scala.math.Ordering.Implicits.seqOrdering
+import scala.util.Random
 
 class HierRelationSpec extends SparkSpec {
 
@@ -10,6 +12,36 @@ class HierRelationSpec extends SparkSpec {
     Seq("ofla", "zata"), Seq("ofla", "adishim"), Seq("ofla", "darube"),
     Seq("raya", "fala"), Seq("raya", "dinka"),
   ))
+
+  /** Random FD-valid hierarchies of depth 1 to 4 (fixed seeds). Each value
+    * is its own node of a random tree, so a child has one parent; values
+    * start with a random number, so sorted order is not generation order.
+    * The tuples come shuffled and with repeats.
+    */
+  private val randomHiers: Seq[HierRelation] = (1 to 24).map { seed =>
+    val rng = new Random(seed)
+    val depth = 1 + seed % 4
+    var ids = 0
+    def node(k: Int): String = { ids += 1; f"${rng.nextInt(100)}%02d-$k-$ids" }
+    def paths(k: Int, prefix: Vector[String]): Seq[Vector[String]] =
+      if (k == depth) Seq(prefix)
+      else (0 to rng.nextInt(3)).flatMap(_ => paths(k + 1, prefix :+ node(k)))
+    val leaves = (0 to rng.nextInt(4)).flatMap(_ => paths(0, Vector.empty))
+    HierRelation(s"r$seed", (0 until depth).map(k => s"a$k"), rng.shuffle(leaves ++ leaves.take(3)))
+  }
+
+  /** Linear-scan definition: the runs [start, start + len) of rows sharing
+    * their first `n` values.
+    */
+  private def runsOf(rows: Vector[Vector[String]], n: Int): Vector[(Int, Int)] =
+    rows.indices.filter(i => i == 0 || rows(i).take(n) != rows(i - 1).take(n)).toVector
+      .map(s => (s, rows.indexWhere(_.take(n) != rows(s).take(n), s) match { case -1 => rows.size - s; case e => e - s }))
+
+  /** Linear-scan definition of `blockOfPrefix`: the rows that start with `p`. */
+  private def rowsUnder(rows: Vector[Vector[String]], p: Vector[String]): Option[(Int, Int)] = {
+    val hits = rows.indices.filter(rows(_).take(p.size) == p)
+    if (hits.isEmpty) None else Some((hits.head, hits.last + 1))
+  }
 
   test("rows are sorted and distinct") {
     assert(geo.total == 5)
@@ -19,11 +51,26 @@ class HierRelationSpec extends SparkSpec {
   }
 
   test("countOf counts leaves per value") {
-    assert(geo.countOf(0) == Map("ofla" -> 3, "raya" -> 2))
-    assert(geo.countOf(1).values.forall(_ == 1))
+    // A value's COUNT is the length of its run.
+    assert(geo.segments(0).map(s => s.value -> s.len) == Vector("ofla" -> 3, "raya" -> 2))
+    assert(geo.segments(1).forall(_.len == 1))
+  }
+
+  test("cofWithin counts pairs") {
+    // A value has one parent, so its COF with any ancestor is its run length.
+    val h = HierRelation("h", Seq("a", "b", "c"), Seq(
+      Seq("a1", "b1", "c1"), Seq("a1", "b1", "c2"), Seq("a1", "b2", "c3"), Seq("a2", "b3", "c4"),
+    ))
+    assert(h.segments(1).map(s => (h.rows(s.start)(0), s.value) -> s.len) ==
+      Vector(("a1", "b1") -> 2, ("a1", "b2") -> 1, ("a2", "b3") -> 1))
+    assert(h.segments(2).forall(_.len == 1))
   }
 
   test("segments are contiguous and cover all rows") {
+    randomHiers.foreach { h =>
+      assert(h.segments == (1 to h.depth).map(n => runsOf(h.rows, n).map { case (s, l) => Seg(h.rows(s)(n - 1), s, l) }),
+        h.dim)
+    }
     geo.segments.foreach { segs =>
       assert(segs.map(_.len).sum == geo.total)
       segs.sliding(2).foreach {
@@ -45,18 +92,13 @@ class HierRelationSpec extends SparkSpec {
     assert(ex.getMessage.contains("FD violation"))
   }
 
-  test("cofWithin counts pairs") {
-    val h = HierRelation("h", Seq("a", "b", "c"), Seq(
-      Seq("a1", "b1", "c1"), Seq("a1", "b1", "c2"), Seq("a1", "b2", "c3"), Seq("a2", "b3", "c4"),
-    ))
-    assert(h.cofWithin(0, 1) == Map(("a1", "b1") -> 2, ("a1", "b2") -> 1, ("a2", "b3") -> 1))
-    assert(h.cofWithin(0, 2).values.forall(_ == 1))
-  }
-
   test("parentBlocks groups children of the most specific attribute") {
     assert(geo.parentBlocks == Vector((0, 3), (3, 2)))
     val single = HierRelation("s", Seq("a"), Seq(Seq("x"), Seq("y")))
     assert(single.parentBlocks == Vector((0, 2)))
+    randomHiers.foreach { h =>
+      assert(h.parentBlocks == (if (h.depth == 1) Vector((0, h.total)) else runsOf(h.rows, h.depth - 1)), h.dim)
+    }
   }
 
   test("truncate produces distinct prefixes") {
@@ -64,6 +106,11 @@ class HierRelationSpec extends SparkSpec {
     assert(t.total == 2)
     assert(t.rows == Vector(Vector("ofla"), Vector("raya")))
     assert(geo.truncate(2) eq geo)
+    for (h <- randomHiers; d <- 1 to h.depth) {
+      val t = h.truncate(d)
+      assert(t.attrs == h.attrs.take(d), h.dim)
+      assert(t.rows == h.rows.map(_.take(d)).distinct.sorted, s"${h.dim} at $d")
+    }
   }
 
   test("rowIndexOf and blockOfPrefix") {
@@ -72,11 +119,28 @@ class HierRelationSpec extends SparkSpec {
     assert(geo.blockOfPrefix(Nil) == (0, 5))
     intercept[NoSuchElementException](geo.rowIndexOf(Seq("nope", "nope")))
     intercept[IllegalArgumentException](geo.blockOfPrefix(Seq("nope")))
-  }
-
-  test("attrIndex resolves and rejects unknown attributes") {
-    assert(geo.attrIndex("village") == 1)
-    intercept[IllegalArgumentException](geo.attrIndex("nope"))
+    def notFound(h: HierRelation, p: Seq[String]): Unit = {
+      val ex = intercept[IllegalArgumentException](h.blockOfPrefix(p))
+      assert(ex.getMessage.contains(s"prefix ${p.mkString(",")} not found in hierarchy ${h.dim}"))
+    }
+    notFound(geo, Seq("ofla", "zata", "x")) // longer than the depth
+    notFound(geo, Seq("raya", "zata")) // zata exists, under ofla
+    // Every prefix of every row, each row's prefixes with another row's
+    // value appended (mostly under another parent) and prefixes longer
+    // than the depth, against the linear scan.
+    randomHiers.foreach { h =>
+      val rng = new Random(h.total)
+      val prefixes = h.rows.flatMap(r => (0 to h.depth).map(r.take)) ++
+        h.rows.flatMap(r => (1 until h.depth).map(k => r.take(k) :+ h.rows(rng.nextInt(h.total))(k))) ++
+        h.rows.map(_ :+ "x")
+      prefixes.foreach { p =>
+        rowsUnder(h.rows, p) match {
+          case Some(range) => assert(h.blockOfPrefix(p) == range, s"${h.dim} ${p.mkString(",")}")
+          case None        => notFound(h, p)
+        }
+      }
+      h.rows.indices.foreach(i => assert(h.rowIndexOf(h.rows(i)) == i))
+    }
   }
 
   test("fromDataFrame extracts distinct sorted tuples") {

@@ -82,15 +82,22 @@ class MetamorphicSpec extends SparkSpec {
     // Sigma^-1's mean diagonal) do not follow the columns' scales, and at
     // c = 1e3 two candidates swap places.
     val (fact, call0) = compas
-    val call = call0.copy(cfg = call0.cfg.copy(randomEffects = "intercept"))
-    val base = call.rank(fact)
-    val norm = base.candidates.map(_.predicted("mean").abs).max
-    for (c <- Seq(1e-3, 1e3)) {
-      val scaled = call.rank(fact.withColumn("v", col("v") * c))
-      assert(scaled.ranked.map(_.values) == base.ranked.map(_.values), s"c=$c")
-      scaled.candidates.zip(base.candidates).foreach { case (x, y) =>
-        val err = math.abs(x.predicted("mean") / c - y.predicted("mean"))
-        assert(err <= 1e-6 * norm, s"c=$c ${x.values}: ${x.predicted("mean") / c} vs ${y.predicted("mean")}")
+    val mean = call0.copy(cfg = call0.cfg.copy(randomEffects = "intercept"))
+    // A SUM complaint is modelled by a COUNT and a MEAN model; the counts
+    // do not see the measure, so their predictions must not move.
+    val sum = mean.copy(complaint = Complaint(AggType.Sum, Direction.TooHigh))
+    for ((call, scales) <- Seq(mean -> Seq(1e-3, 1e3), sum -> Seq(1e3))) {
+      val base = call.rank(fact)
+      val norm = base.candidates.map(_.predicted("mean").abs).max
+      for (c <- scales) {
+        val what = s"${call.complaint.agg} c=$c"
+        val scaled = call.rank(fact.withColumn("v", col("v") * c))
+        assert(scaled.ranked.map(_.values) == base.ranked.map(_.values), what)
+        scaled.candidates.zip(base.candidates).foreach { case (x, y) =>
+          val err = math.abs(x.predicted("mean") / c - y.predicted("mean"))
+          assert(err <= 1e-6 * norm, s"$what ${x.values}: ${x.predicted("mean") / c} vs ${y.predicted("mean")}")
+          assert(x.predicted.get("count") == y.predicted.get("count"), s"$what ${x.values}")
+        }
       }
     }
   }

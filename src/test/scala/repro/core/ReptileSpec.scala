@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
+import repro.core.frep.Seg
 import repro.core.reptile._
 import scala.jdk.CollectionConverters._
 import scala.util.Random
@@ -360,5 +361,42 @@ class ReptileSpec extends SparkSpec {
         measure = "sev", targetDim = "geo", cfg = cfg)
     }
     assert(ex.getMessage.contains("village"), ex.getMessage)
+  }
+
+  test("a dimension with a single value ranks its one group") {
+    // Every record in one village: geo's relation is one row.
+    val fact = panel(15).filter(_._3 == "ofla-v0").toDF("year", "district", "village", "sev")
+    val drilled = Map("time" -> 1, "geo" -> 1)
+    val geo = Reptile.collectDrilldown(fact, Reptile.drilldownOf(dims, drilled, "geo"), "sev").hiers.last
+    assert(geo.rows == Vector(Vector("ofla", "ofla-v0")))
+    assert(geo.segments == Vector(Vector(Seg("ofla", 0, 1)), Vector(Seg("ofla-v0", 0, 1))))
+    assert(geo.parentBlocks == Vector((0, 1)))
+    val res = Reptile.rankDim(spark, fact, dims, drilled,
+      filters = Map("year" -> "1986", "district" -> "ofla"),
+      complaint = Complaint(AggType.Mean, Direction.TooLow),
+      measure = "sev", targetDim = "geo", cfg = cfg)
+    assert(res.ranked.map(_.values("village")) == Vector("ofla-v0"))
+  }
+
+  test("a filter value absent from the data fails naming the value and its hierarchy") {
+    val fact = panel(16).toDF("year", "district", "village", "sev")
+    def rank(filters: Map[String, String]): DimRankResult =
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1), filters,
+        Complaint(AggType.Mean, Direction.TooLow), "sev", "geo", cfg = cfg)
+    val year = intercept[NoSuchElementException](rank(Map("year" -> "1999", "district" -> "ofla")))
+    assert(year.getMessage == "tuple 1999 not in hierarchy time")
+    val district = intercept[IllegalArgumentException](rank(Map("year" -> "1986", "district" -> "tigray")))
+    assert(district.getMessage.contains("prefix tigray not found in hierarchy geo"), district.getMessage)
+  }
+
+  test("an empty fact table fails with an error, not an empty ranking") {
+    val fact = panel(17).toDF("year", "district", "village", "sev").limit(0)
+    val ex = intercept[IllegalArgumentException] {
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("year" -> "1986", "district" -> "ofla"),
+        complaint = Complaint(AggType.Mean, Direction.TooLow),
+        measure = "sev", targetDim = "geo", cfg = cfg)
+    }
+    assert(ex.getMessage.contains("hierarchy time has no rows"), ex.getMessage)
   }
 }
