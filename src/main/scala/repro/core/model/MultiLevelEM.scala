@@ -25,14 +25,14 @@ final case class MultiLevelFit(
 
 /** EM training for the multi-level linear model over any MLBackend.
   *
-  * The loop follows Appendix D, with the E-step (BlockEStep) solved over
-  * the cluster grams' block-plus-rank-2 form. y enters only through
-  * statistics taken once per fit: X^T y, every X_i^T y_i and the initial
-  * residual sum of squares. Every per-iteration term is then a product of
-  * the gram, the cluster grams G_i (ClusterGrams) and these statistics, so
-  * the loop touches no n-length array. With r = y - X beta and b~_i the
-  * posterior mean b_i zero-padded to X's columns (Z_i b_i = X_i b~_i):
-  *  - E-step input: X_i^T r_i = X_i^T y_i - G_i beta;
+  * The loop follows Appendix D. y enters only through statistics taken
+  * once per fit: X^T y, every X_i^T y_i and the initial residual sum of
+  * squares. Every per-iteration term is then a product of the gram, the
+  * cluster grams G_i and these statistics, so the loop touches no n-length
+  * array. Each iteration is one sweep over the cluster grams' block-plus-
+  * rank-2 form (BlockEStep) and an m x m M-step. With r = y - X beta and
+  * b~_i the posterior mean b_i zero-padded to X's columns (Z_i b_i = X_i b~_i):
+  *  - E-step input: Z_i^T r_i, the Z-slice of X_i^T y_i - G_i beta;
   *  - M-step: X^T Z b = sum_i G_i b~_i, beta = (X^T X)^{-1} (X^T y - X^T Z b);
   *  - r^T Z b = sum_i b~_i^T X_i^T y_i - beta^T X^T Z b;
   *  - |r|^2 is updated by Delta = beta_new - beta_old:
@@ -71,9 +71,7 @@ object MultiLevelEM {
     // statistics X^T y and X_i^T y_i.
     val gram = bk.gram
     val gramInv = Mat.scaledRidgeInverse(gram, ridge)
-    val bg = bk.blockGrams
-    val grams = new ClusterGrams(bg, m, re)
-    val est = new BlockEStep(bg, m, re, ridge)
+    val est = new BlockEStep(bk.blockGrams, m, re, ridge)
     val xty = bk.xtv(y)
     val xiy = bk.clusterXtv(y)
     val yScale = { val q = meanSq(y); if (q > 0) q else 1.0 }
@@ -84,25 +82,22 @@ object MultiLevelEM {
     var sigma2 = math.max(rr / bk.n, 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
-    val xtr = new Array[Double](g * m)             // X_i^T r_i, m per cluster
-    val xtzb = new Array[Double](m)                // X^T Z b
 
     var it = 0
     while (it < iters) {
-      // E-step: posterior means into bs; the M-step's Sigma and trace terms
+      // E-step: posterior means into bs, with the M-step's Sigma and trace
+      // terms, X^T Z b and b^T X^T y
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      grams.residualXtv(xiy, beta, xtr)
-      val trAcc = est.run(xtr, sigma2, sigmaInv.a, bs)
+      val trAcc = est.run(xiy, beta, sigma2, sigmaInv.a, bs)
 
       // M-step
-      val ybz = grams.xtzb(bs, xiy, xtzb) // sum_i b~_i^T X_i^T y_i
       val xtrOld = sub(xty, gram.mv(beta)) // X^T r at the old beta
-      val next = gramInv.mv(sub(xty, xtzb))
+      val next = gramInv.mv(sub(xty, est.xtzb))
       val delta = sub(next, beta)
       rr += Mat.dot(delta, gram.mv(delta)) - 2.0 * Mat.dot(delta, xtrOld)
       beta = next
       sigma = new Mat(s, s, est.sigAcc.map(_ / g))
-      val rzb = ybz - Mat.dot(beta, xtzb)
+      val rzb = est.bty - Mat.dot(beta, est.xtzb)
       sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12 * yScale)
       it += 1
     }
@@ -191,8 +186,8 @@ object MultiLevelEM {
   * length depends on the matrix's shape alone, never on the number of
   * threads, so a fit gives the same bits on one thread as on many.
   *
-  * A cluster's per-block sums (the E-step's `accB`, `pB`, `qB`; `bSum`,
-  * `ubSum` in X^T Z b) go to its chunk's copy, except when every cluster is
+  * A cluster's per-block sums (`accB`, `pB`, `qB`, `bSum`, `ubSum` in
+  * BlockEStep) go to its chunk's copy, except when every cluster is
   * a block of its own (`ownBlocks`: the dense backend, or a factorised
   * matrix of one hierarchy). Then no two chunks touch the same block, they
   * add into the shared sums directly, and the per-block loops are chunked
@@ -239,157 +234,17 @@ private object Chunks {
   }
 }
 
-/** Products with the cluster grams G_i in their block-plus-rank-2 form
-  * (BlockGrams), G_i = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T, so a
-  * product costs O(m) per cluster plus O(m^2) per block instead of O(m^2)
-  * per cluster. Without a rank-2 term (the dense backend) G_i = D_i.
-  * Random-effect vectors b_i arrive in Z's columns `re`, flat s per
-  * cluster; b~_i is b_i zero-padded to X's columns. The loops run in
-  * Chunks.
-  */
-private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
-  private val s = re.length
-  private val nb = bg.numBlocks
-  private val blockOf = bg.blockOf
-  private val rank2 = bg.rank2
-  private val u = bg.u
-  private val len: Array[Double] = bg.len.map(_.toDouble)
-  private val sb: Array[Double] = if (rank2) bg.s.flatten else Array.emptyDoubleArray // nb x m
-  private val dv = new Array[Double](nb * m)   // per block: D_b beta
-  private val sv = new Array[Double](nb)       // per block: s_b^T beta
-  private val bSum = new Array[Double](nb * s) // per block: sum_{i in b} b_i
-  private val ubSum = new Array[Double](nb)    // per block: sum_{i in b} u_i^T b~_i
-  private val chunks = new Chunks(bg)
-
-  /** A chunk's partial sums for `xtzb`; chunk 0 adds into the totals and
-    * into `xtzb`'s `out`, so it needs no `out` of its own.
-    */
-  private final class Part(c: Int) {
-    val out: Array[Double] = if (c == 0) Array.emptyDoubleArray else new Array[Double](m)
-    val bSum: Array[Double] = if (c == 0 || chunks.ownBlocks) ClusterGrams.this.bSum else new Array[Double](nb * s)
-    val ubSum: Array[Double] = if (c == 0 || chunks.ownBlocks) ClusterGrams.this.ubSum else new Array[Double](nb)
-    var by = 0.0
-  }
-  private val parts = Array.tabulate(chunks.count)(new Part(_))
-
-  /** X_i^T r_i = X_i^T y_i - G_i beta for r = y - X beta, into `out`;
-    * `xiy` and `out` hold m per cluster.
-    */
-  def residualXtv(xiy: Array[Double], beta: Array[Double], out: Array[Double]): Unit = {
-    chunks.blocks { (_, from, until) =>
-      var b = from
-      while (b < until) { blockProducts(b, beta); b += 1 }
-    }
-    chunks.clusters { (_, from, until) =>
-      var i = from
-      while (i < until) { residual(i, xiy, beta, out); i += 1 }
-    }
-  }
-
-  /** D_b beta and s_b^T beta. */
-  private def blockProducts(b: Int, beta: Array[Double]): Unit = {
-    val d = bg.d(b)
-    var st = 0.0
-    var j = 0
-    while (j < m) {
-      var acc = 0.0; var k = 0
-      while (k < m) { acc += d(j * m + k) * beta(k); k += 1 }
-      dv(b * m + j) = acc
-      if (rank2) st += sb(b * m + j) * beta(j)
-      j += 1
-    }
-    sv(b) = st
-  }
-
-  private def residual(i: Int, xiy: Array[Double], beta: Array[Double], out: Array[Double]): Unit = {
-    val b = blockOf(i)
-    val io = i * m
-    var j = 0
-    if (rank2) {
-      var ub = 0.0
-      while (j < m) { ub += u(io + j) * beta(j); j += 1 }
-      val cu = len(b) * ub + sv(b)
-      j = 0
-      while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j) - u(io + j) * cu - sb(b * m + j) * ub; j += 1 }
-    } else
-      while (j < m) { out(io + j) = xiy(io + j) - dv(b * m + j); j += 1 }
-  }
-
-  /** Fills `out` with sum_i G_i b~_i = X^T Z b; returns sum_i b~_i^T X_i^T y_i. */
-  def xtzb(bs: Array[Double], xiy: Array[Double], out: Array[Double]): Double = {
-    java.util.Arrays.fill(out, 0.0)
-    java.util.Arrays.fill(bSum, 0.0)
-    java.util.Arrays.fill(ubSum, 0.0)
-    chunks.clusters { (c, from, until) =>
-      val p = parts(c)
-      if (c > 0) java.util.Arrays.fill(p.out, 0.0)
-      if (p.bSum ne bSum) { java.util.Arrays.fill(p.bSum, 0.0); java.util.Arrays.fill(p.ubSum, 0.0) }
-      var by = 0.0
-      var i = from
-      while (i < until) { by = clusterTerms(i, bs, xiy, if (c == 0) out else p.out, p, by); i += 1 }
-      p.by = by
-    }
-    var by = parts(0).by
-    var c = 1
-    while (c < chunks.count) {
-      val p = parts(c)
-      Chunks.addInto(out, p.out)
-      if (p.bSum ne bSum) { Chunks.addInto(bSum, p.bSum); Chunks.addInto(ubSum, p.ubSum) }
-      by += p.by
-      c += 1
-    }
-    chunks.blocks { (c, from, until) =>
-      val o = if (c == 0) out else { java.util.Arrays.fill(parts(c).out, 0.0); parts(c).out }
-      var b = from
-      while (b < until) { blockTerms(b, o); b += 1 }
-    }
-    c = 1
-    while (c < chunks.blockCount) { Chunks.addInto(out, parts(c).out); c += 1 }
-    by
-  }
-
-  /** Adds cluster i's terms to `out` and to p's block sums; returns
-    * `by0 + b~_i^T X_i^T y_i`.
-    */
-  private def clusterTerms(i: Int, bs: Array[Double], xiy: Array[Double], out: Array[Double], p: Part,
-                           by0: Double): Double = {
-    val b = blockOf(i)
-    var by = by0
-    var ub = 0.0; var sbb = 0.0
-    var k = 0
-    while (k < s) {
-      val v = bs(i * s + k)
-      p.bSum(b * s + k) += v
-      by += v * xiy(i * m + re(k))
-      if (rank2) { ub += u(i * m + re(k)) * v; sbb += sb(b * m + re(k)) * v }
-      k += 1
-    }
-    if (rank2) {
-      // u_i (len_b u_i^T b~_i + s_b^T b~_i); the s_b u_i^T b~_i term is summed per block
-      p.ubSum(b) += ub
-      val c = len(b) * ub + sbb
-      var j = 0
-      while (j < m) { out(j) += u(i * m + j) * c; j += 1 }
-    }
-    by
-  }
-
-  /** Adds block b's D_b (sum_{i in b} b~_i) + s_b (sum_{i in b} u_i^T b~_i) to `out`. */
-  private def blockTerms(b: Int, out: Array[Double]): Unit = {
-    val d = bg.d(b)
-    var j = 0
-    while (j < m) {
-      var acc = 0.0; var k = 0
-      while (k < s) { acc += d(j * m + re(k)) * bSum(b * s + k); k += 1 }
-      if (rank2) acc += sb(b * m + j) * ubSum(b)
-      out(j) += acc
-      j += 1
-    }
-  }
-}
-
-/** The E-step over the cluster grams' block-plus-rank-2 form (BlockGrams),
-  * in the random-effect columns Z:
+/** One EM iteration's sweep over the cluster grams in their
+  * block-plus-rank-2 form (BlockGrams),
+  *   G_i = D_b + U_i C_b U_i^T = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T,
+  * so a product with G_i costs O(m) per cluster plus O(m^2) per block
+  * instead of O(m^2) per cluster. Random-effect vectors are in Z's columns
+  * `re`, s per cluster; b~_i is b_i zero-padded to X's columns.
+  *
+  * The E-step's input, for r = y - X beta, is Z_i^T r_i: the Z-slice of
+  * X_i^T y_i - G_i beta, from D_b beta and s_b^T beta once per block and
+  * u_i^T beta (over all m columns) per cluster. The E-step then solves, in
+  * Z's columns,
   *   W_i = G_i / sigma2 + Sigma^{-1} = A_b + U_i (C_b / sigma2) U_i^T,
   *   A_b = Sigma^{-1} + D_b / sigma2.
   * Each iteration inverts A_b once per parent block, with a ridge escalated
@@ -408,33 +263,38 @@ private final class ClusterGrams(bg: BlockGrams, m: Int, re: Array[Int]) {
   * took ~15% longer (5 of 5 interleaved runs, 4-core host), which would
   * flatter the factorised side in Figure 10.
   *
-  * The M-step needs S = sum_i (V_i + mu_i mu_i^T) and sum_i Tr(G_i (V_i +
-  * mu_i mu_i^T)). Both come from per-block sums, combined once per block:
+  * The M-step needs S = sum_i (V_i + mu_i mu_i^T), sum_i Tr(G_i (V_i +
+  * mu_i mu_i^T)), X^T Z b = sum_i G_i b~_i and sum_i b~_i^T X_i^T y_i. All
+  * come from per-cluster terms and per-block sums, combined once per block:
   *  - sum_{i in b} V_i = cnt_b A_b^{-1} - sum_{i in b} [a t] K^{-1} [a t]^T,
   *    and t is the block's, so a cluster adds mu mu^T - k11 a a^T to one
   *    s x s sum, k12 a to an s-vector and k22 to a scalar, with
   *    [[k11, k12], [k12, k22]] = K^{-1};
   *  - G_i = sigma2 (W_i - Sigma^{-1} - lambda_b I) and W_i mu_i = Z_i^T r_i
   *    / sigma2 give Tr(G_i (V_i + mu_i mu_i^T)) =
-  *    sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T))) + mu_i^T Z_i^T r_i.
+  *    sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T))) + mu_i^T Z_i^T r_i;
+  *  - G_i b~_i is u_i (len_b u_i^T b~_i + s_b^T b~_i) per cluster, plus
+  *    D_b sum_{i in b} b~_i + s_b sum_{i in b} u_i^T b~_i per block.
   *
-  * The block, cluster and combining loops run in Chunks. The per-block and
-  * per-cluster steps are methods of their own so the JIT compiles them
-  * after a few thousand calls rather than waiting for an on-stack
-  * replacement of the loops; buffers are reused across calls.
+  * `run` is one block loop (A_b^{-1}, t_b, D_b beta, s_b^T beta), one
+  * cluster loop and one block loop (S, the trace, X^T Z b's block terms),
+  * each in Chunks. The per-block and per-cluster steps are methods of their
+  * own so the JIT compiles them after a few thousand calls rather than
+  * waiting for an on-stack replacement of the loops; buffers are reused
+  * across calls.
   */
 private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double) {
   private val s = re.length
   private val ss = s * s
   private val nb = bg.numBlocks
-  private val g = bg.blockOf.length
   private val blockOf = bg.blockOf
   private val rank2 = bg.rank2
+  private val u = bg.u
   private val len: Array[Double] = bg.len.map(_.toDouble)
   private val cnt: Array[Int] = {
     val c = new Array[Int](nb); blockOf.foreach(b => c(b) += 1); c
   }
-  // The blocks and constant-column values sliced to Z's columns.
+  // The blocks sliced to Z's columns.
   private val dZ: Array[Double] = {
     val out = new Array[Double](nb * ss)
     var b = 0
@@ -446,33 +306,47 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     }
     out
   }
-  private val sZ: Array[Double] = if (rank2) Array.tabulate(nb * s)(x => bg.s(x / s)(re(x % s))) else Array.emptyDoubleArray
-  private val uZ: Array[Double] = if (rank2) Array.tabulate(g * s)(x => bg.u((x / s) * m + re(x % s))) else Array.emptyDoubleArray
+  private val sb: Array[Double] = if (rank2) bg.s.flatten else Array.emptyDoubleArray // nb x m
   private val r2 = if (rank2) nb else 0
 
   // Per block and iteration: A_b^{-1}, t_b = A_b^{-1} s_b, s_b^T t_b, the
-  // ridge, and the cluster sums of mu mu^T - k11 a a^T, k12 a and k22.
+  // ridge, D_b beta in Z's rows, s_b^T beta, and the cluster sums of
+  // mu mu^T - k11 a a^T, k12 a, k22, b_i and u_i^T b~_i.
   private val aInv = new Array[Double](nb * ss)
   private val tZ = new Array[Double](r2 * s)
   private val stb = new Array[Double](r2)
   private val lambda = new Array[Double](nb)
+  private val dv = new Array[Double](nb * s)
+  private val sv = new Array[Double](r2)
   private val accB = new Array[Double](nb * ss)
   private val pB = new Array[Double](r2 * s)
   private val qB = new Array[Double](r2)
+  private val bSum = new Array[Double](nb * s)
+  private val ubSum = new Array[Double](r2)
   /** Block inverses so far that needed more than the base ridge. */
   var escalations = 0
   /** After `run`: sum_i (V_i + mu_i mu_i^T). */
   val sigAcc = new Array[Double](ss)
+  /** After `run`: X^T Z b = sum_i G_i b~_i. */
+  val xtzb = new Array[Double](m)
+  /** After `run`: sum_i b~_i^T X_i^T y_i. */
+  var bty = 0.0
   private val chunks = new Chunks(bg)
 
-  /** A chunk's partial sums and scratch; chunk 0 adds into the totals. */
+  /** A chunk's partial sums and scratch. Chunk 0 adds into the totals, and
+    * so does every chunk into the per-block sums when no two share a block.
+    */
   private final class Part(c: Int) {
     private def copy(a: Array[Double]) = if (c == 0 || chunks.ownBlocks) a else new Array[Double](a.length)
     val accB: Array[Double] = copy(BlockEStep.this.accB)
     val pB: Array[Double] = copy(BlockEStep.this.pB)
     val qB: Array[Double] = copy(BlockEStep.this.qB)
+    val bSum: Array[Double] = copy(BlockEStep.this.bSum)
+    val ubSum: Array[Double] = copy(BlockEStep.this.ubSum)
     val sig: Array[Double] = if (c == 0) sigAcc else new Array[Double](ss)
+    val xtzb: Array[Double] = if (c == 0) BlockEStep.this.xtzb else new Array[Double](m)
     var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
+    var by = 0.0    // sum_i b~_i^T X_i^T y_i
     var tr = 0.0
     var escalations = 0
     val wBuf = new Array[Double](ss)
@@ -483,44 +357,51 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   }
   private val parts = Array.tabulate(chunks.count)(new Part(_))
 
-  /** Writes every cluster's posterior mean into `mu` (flat, s per cluster),
-    * fills `sigAcc` and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xtr`
-    * holds X_i^T r_i, m per cluster, for the current fixed-effect residual r.
+  /** One sweep at the fixed effects `beta`: writes every cluster's
+    * posterior mean into `mu` (flat, s per cluster), fills `sigAcc`, `xtzb`
+    * and `bty`, and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xiy` holds
+    * X_i^T y_i, m per cluster.
     */
-  def run(xtr: Array[Double], sigma2: Double, sigmaInv: Array[Double], mu: Array[Double]): Double = {
-    java.util.Arrays.fill(accB, 0.0)
-    java.util.Arrays.fill(pB, 0.0)
-    java.util.Arrays.fill(qB, 0.0)
+  def run(xiy: Array[Double], beta: Array[Double], sigma2: Double, sigmaInv: Array[Double],
+          mu: Array[Double]): Double = {
     chunks.blocks { (c, from, until) =>
       val p = parts(c)
       p.escalations = 0
       var b = from
-      while (b < until) { invertBlock(b, sigma2, sigmaInv, p); b += 1 }
+      while (b < until) { invertBlock(b, sigma2, sigmaInv, p); blockProducts(b, beta); b += 1 }
     }
+    zero(accB, pB, qB, bSum, ubSum, xtzb)
     chunks.clusters { (c, from, until) =>
       val p = parts(c)
-      if (p.accB ne accB) {
-        java.util.Arrays.fill(p.accB, 0.0); java.util.Arrays.fill(p.pB, 0.0); java.util.Arrays.fill(p.qB, 0.0)
-      }
+      if (p.accB ne accB) zero(p.accB, p.pB, p.qB, p.bSum, p.ubSum)
+      if (c > 0) zero(p.xtzb)
       p.muXtr = 0.0
+      p.by = 0.0
       var i = from
-      while (i < until) { cluster(i, xtr, sigma2, mu, p); i += 1 }
+      while (i < until) { cluster(i, xiy, beta, sigma2, mu, p); i += 1 }
     }
     var muXtr = parts(0).muXtr
+    var by = parts(0).by
     var c = 1
     while (c < chunks.count) {
       val p = parts(c)
-      if (p.accB ne accB) { Chunks.addInto(accB, p.accB); Chunks.addInto(pB, p.pB); Chunks.addInto(qB, p.qB) }
+      if (p.accB ne accB) {
+        Chunks.addInto(accB, p.accB); Chunks.addInto(pB, p.pB); Chunks.addInto(qB, p.qB)
+        Chunks.addInto(bSum, p.bSum); Chunks.addInto(ubSum, p.ubSum)
+      }
+      Chunks.addInto(xtzb, p.xtzb)
       muXtr += p.muXtr
+      by += p.by
       c += 1
     }
-    java.util.Arrays.fill(sigAcc, 0.0)
+    bty = by
+    zero(sigAcc)
     chunks.blocks { (c, from, until) =>
       val p = parts(c)
-      if (c > 0) java.util.Arrays.fill(p.sig, 0.0)
+      if (c > 0) zero(p.sig, p.xtzb)
       var tr = 0.0
       var b = from
-      while (b < until) { tr += addBlock(b, sigmaInv, p.sig); b += 1 }
+      while (b < until) { tr += addBlock(b, sigmaInv, p.sig); blockTerms(b, p.xtzb); b += 1 }
       p.tr = tr
     }
     var tr = parts(0).tr
@@ -529,12 +410,15 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     while (c < chunks.blockCount) {
       val p = parts(c)
       Chunks.addInto(sigAcc, p.sig)
+      Chunks.addInto(xtzb, p.xtzb)
       tr += p.tr
       escalations += p.escalations
       c += 1
     }
     sigma2 * tr + muXtr
   }
+
+  private def zero(as: Array[Double]*): Unit = as.foreach(java.util.Arrays.fill(_, 0.0))
 
   /** Adds block b's sum_{i in b} (V_i + mu_i mu_i^T) to `sig`; returns
     * its sum of s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T)).
@@ -560,6 +444,19 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       j += 1
     }
     tr
+  }
+
+  /** Adds block b's D_b (sum_{i in b} b~_i) + s_b (sum_{i in b} u_i^T b~_i) to `out`. */
+  private def blockTerms(b: Int, out: Array[Double]): Unit = {
+    val d = bg.d(b)
+    var j = 0
+    while (j < m) {
+      var acc = 0.0; var k = 0
+      while (k < s) { acc += d(j * m + re(k)) * bSum(b * s + k); k += 1 }
+      if (rank2) acc += sb(b * m + j) * ubSum(b)
+      out(j) += acc
+      j += 1
+    }
   }
 
   /** A_b^{-1} (+ ridge, escalated on failure), and t_b, s_b^T t_b. */
@@ -589,23 +486,53 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       while (j < s) {
         var acc = 0.0
         k = 0
-        while (k < s) { acc += aInv(off + j * s + k) * sZ(b * s + k); k += 1 }
+        while (k < s) { acc += aInv(off + j * s + k) * sb(b * m + re(k)); k += 1 }
         tZ(b * s + j) = acc
-        st += sZ(b * s + j) * acc
+        st += sb(b * m + re(j)) * acc
         j += 1
       }
       stb(b) = st
     }
   }
 
-  /** Cluster i's posterior mean into `mu`, and its terms of p's block sums. */
-  private def cluster(i: Int, xtr: Array[Double], sigma2: Double, mu: Array[Double], p: Part): Unit = {
+  /** D_b beta in Z's rows, and s_b^T beta. */
+  private def blockProducts(b: Int, beta: Array[Double]): Unit = {
+    val d = bg.d(b)
+    var j = 0
+    while (j < s) {
+      var acc = 0.0; var k = 0
+      while (k < m) { acc += d(re(j) * m + k) * beta(k); k += 1 }
+      dv(b * s + j) = acc
+      j += 1
+    }
+    if (rank2) {
+      var st = 0.0
+      j = 0
+      while (j < m) { st += sb(b * m + j) * beta(j); j += 1 }
+      sv(b) = st
+    }
+  }
+
+  /** Cluster i: Z_i^T r_i, the posterior mean into `mu`, and its terms of
+    * p's block sums, X^T Z b and b~_i^T X_i^T y_i.
+    */
+  private def cluster(i: Int, xiy: Array[Double], beta: Array[Double], sigma2: Double, mu: Array[Double],
+                      p: Part): Unit = {
     val b = blockOf(i)
     val off = b * ss
     val mo = i * s
+    val io = i * m
     val xz = p.xz; val aBuf = p.aBuf; val accB = p.accB
+    // xz = Z_i^T r_i = Z's slice of X_i^T y_i - D_b beta - u_i (len_b u_i^T beta + s_b^T beta) - s_b u_i^T beta
+    var ub = 0.0
     var j = 0
-    while (j < s) { xz(j) = xtr(i * m + re(j)); j += 1 }
+    if (rank2) {
+      while (j < m) { ub += u(io + j) * beta(j); j += 1 }
+      val cu = len(b) * ub + sv(b)
+      j = 0
+      while (j < s) { val x = re(j); xz(j) = xiy(io + x) - dv(b * s + j) - u(io + x) * cu - sb(b * m + x) * ub; j += 1 }
+    } else
+      while (j < s) { xz(j) = xiy(io + re(j)) - dv(b * s + j); j += 1 }
     var i11 = 0.0
     if (!rank2) {
       // mu = A_b^{-1} Z_i^T r_i / sigma2
@@ -626,10 +553,10 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       while (j < s) {
         var accX = 0.0; var accU = 0.0
         var k = 0
-        while (k < s) { val w = aInv(off + j * s + k); accX += w * xz(k); accU += w * uZ(mo + k); k += 1 }
+        while (k < s) { val w = aInv(off + j * s + k); accX += w * xz(k); accU += w * u(io + re(k)); k += 1 }
         vx(j) = accX; aBuf(j) = accU
-        val u = uZ(mo + j); val t = tZ(to + j)
-        ua += u * accU; ut += u * t
+        val uj = u(io + re(j)); val t = tZ(to + j)
+        ua += uj * accU; ut += uj * t
         pa += accU * xz(j); q += t * xz(j)
         j += 1
       }
@@ -650,15 +577,20 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       }
       p.qB(b) += i22
     }
-    // accB += mu mu^T - k11 a a^T
-    var muXtr = p.muXtr
+    // accB += mu mu^T - k11 a a^T; the b_i and u_i^T b~_i block sums; b~_i^T X_i^T y_i
+    var muXtr = p.muXtr; var by = p.by
+    var ubi = 0.0; var sbi = 0.0
     j = 0
     while (j < s) {
       val mj = mu(mo + j)
+      val x = re(j)
       muXtr += mj * xz(j)
+      by += mj * xiy(io + x)
+      p.bSum(b * s + j) += mj
       val ro = off + j * s
       var k = 0
       if (rank2) {
+        ubi += u(io + x) * mj; sbi += sb(b * m + x) * mj
         val wj = i11 * aBuf(j)
         while (k < s) { accB(ro + k) += mj * mu(mo + k) - wj * aBuf(k); k += 1 }
       } else
@@ -666,6 +598,15 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       j += 1
     }
     p.muXtr = muXtr
+    p.by = by
+    if (rank2) {
+      // G_i b~_i's u_i (len_b u_i^T b~_i + s_b^T b~_i); s_b u_i^T b~_i is summed per block
+      p.ubSum(b) += ubi
+      val cb = len(b) * ubi + sbi
+      val out = p.xtzb
+      j = 0
+      while (j < m) { out(j) += u(io + j) * cb; j += 1 }
+    }
   }
 }
 

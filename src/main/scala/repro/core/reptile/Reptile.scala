@@ -131,13 +131,16 @@ object Drilldown {
 
   /** Reads collected statistics rows: the values of `attrsOf(used)` at
     * columns `cols`, then count, mean, std, sum and the count of non-null
-    * measures from column `statBase` on. A null measure would make
-    * count x mean overstate the group's sum, and a NaN or infinite one
-    * would make its statistics NaN, so either is rejected, naming `measure`.
+    * measures from column `statBase` on. No rows means an empty fact table,
+    * which has nothing to rank. A null measure would make count x mean
+    * overstate the group's sum, and a NaN or infinite one would make its
+    * statistics NaN, so either is rejected, naming `measure`.
     */
   def fromRows(used: Vector[(Dimension, Int)], rows: Seq[Row], cols: Seq[Int], statBase: Int,
                measure: String): Drilldown = {
     val attrs = attrsOf(used)
+    if (rows.isEmpty)
+      throw new IllegalArgumentException(s"the fact table has no rows to group by ${attrs.mkString("(", ", ", ")")}")
     rows.foreach { r =>
       val nulls = r.getDouble(statBase) - r.getLong(statBase + 4)
       if (nulls > 0)

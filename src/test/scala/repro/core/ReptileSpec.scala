@@ -391,12 +391,53 @@ class ReptileSpec extends SparkSpec {
 
   test("an empty fact table fails with an error, not an empty ranking") {
     val fact = panel(17).toDF("year", "district", "village", "sev").limit(0)
-    val ex = intercept[IllegalArgumentException] {
+    val ranked = intercept[IllegalArgumentException] {
       Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
         filters = Map("year" -> "1986", "district" -> "ofla"),
         complaint = Complaint(AggType.Mean, Direction.TooLow),
         measure = "sev", targetDim = "geo", cfg = cfg)
     }
-    assert(ex.getMessage.contains("hierarchy time has no rows"), ex.getMessage)
+    assert(ranked.getMessage.contains("the fact table has no rows to group by (year, district, village)"),
+      ranked.getMessage)
+    val recommended = intercept[IllegalArgumentException] {
+      Reptile.recommend(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("year" -> "1986", "district" -> "ofla"),
+        complaint = Complaint(AggType.Mean, Direction.TooLow),
+        measure = "sev", cfg = cfg)
+    }
+    assert(recommended.getMessage.contains("the fact table has no rows to group by"), recommended.getMessage)
+  }
+
+  test("an auxiliary dataset that joins no group adds a zero column and leaves the ranking as it was") {
+    val rows = panel(19).map {
+      case (y, d, v, m) if y == "1986" && v == "ofla-v1" => (y, d, v, m - 4.0)
+      case r                                             => r
+    }
+    val fact = rows.toDF("year", "district", "village", "sev")
+    val aux = AuxDataset("rain", Seq("nowhere-1" -> 300.0, "nowhere-2" -> 150.0).toDF("village", "rainfall"),
+      "village", "rainfall")
+    def rank(aux: Seq[AuxDataset]): DimRankResult =
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+        filters = Map("year" -> "1986", "district" -> "ofla"),
+        complaint = Complaint(AggType.Mean, Direction.TooLow),
+        measure = "sev", targetDim = "geo", aux = aux, cfg = cfg)
+
+    // The aux column the driver step builds is all zeros.
+    val used = Reptile.drilldownOf(dims, Map("time" -> 1, "geo" -> 1), "geo")
+    val dd = Reptile.collectDrilldown(fact, used, "sev")
+    val col = dd.features(StatKind.MeanStat, Seq(aux), cfg).find(_.label == "aux:rain").get
+    assert(dd.hiers(col.hierIdx).segments(col.attrIdx).forall(seg => col.f(seg.value) == 0.0))
+
+    val plain = rank(Nil)
+    val joined = rank(Seq(aux))
+    val preds = joined.candidates.map(_.predicted("mean"))
+    assert(preds.forall(p => java.lang.Double.isFinite(p)), preds)
+    assert(joined.best.values == plain.best.values)
+    assert(plain.best.values("village") == "ofla-v1")
+    joined.candidates.zip(plain.candidates).foreach { case (a, b) =>
+      assert(a.values == b.values)
+      val (p, q) = (a.predicted("mean"), b.predicted("mean"))
+      assert(math.abs(p - q) <= 1e-6 * math.abs(q), s"${a.values}: $p vs $q")
+    }
   }
 }

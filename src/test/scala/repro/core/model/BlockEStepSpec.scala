@@ -7,9 +7,11 @@ import repro.core.frep.HierRelation
 import repro.core.linalg.Mat
 import scala.util.Random
 
-/** The block-plus-rank-2 E-step against a direct per-cluster solve:
-  * W_i = Z_i^T Z_i / sigma2 + Sigma^{-1} + lambda I inverted outright;
-  * and a fit split into chunks against itself on other thread counts.
+/** The EM sweep over the block-plus-rank-2 cluster grams against direct
+  * per-cluster sums: the E-step against W_i = Z_i^T Z_i / sigma2 +
+  * Sigma^{-1} + lambda I inverted outright, X^T Z b and b^T X^T y against
+  * the materialized matrix; and a fit split into chunks against itself on
+  * other thread counts.
   */
 class BlockEStepSpec extends AnyFunSuite {
 
@@ -33,7 +35,11 @@ class BlockEStepSpec extends AnyFunSuite {
   private def relErr(a: Array[Double], b: Array[Double]): Double =
     a.zip(b).map { case (x, y) => math.abs(x - y) }.max / b.map(math.abs).max
 
-  /** The E-step on both backends against a direct per-cluster solve. */
+  /** One sweep on both backends at a nonzero beta: the E-step against a
+    * direct per-cluster solve at r = y - X beta, and X^T Z b and
+    * sum_i b~_i^T X_i^T y_i at the sweep's own posterior means against
+    * sums over the materialized matrix.
+    */
   private def checkAgainstDirect(fm: FactorizedMatrix, seed: Long, re: Array[Int]): Unit = {
     val ridge = 1e-2 // large enough that a dropped ridge term would show
     val rng = new Random(seed + 100)
@@ -41,7 +47,11 @@ class BlockEStepSpec extends AnyFunSuite {
     val sigma2 = 0.3
     val base = new Mat(s, s, Array.fill(s * s)(rng.nextGaussian()))
     val sigmaInv = (base.t * base + Mat.eye(s)).inverse
-    val r = Array.fill(fm.n)(rng.nextGaussian())
+    val y = Array.fill(fm.n)(rng.nextGaussian())
+    val beta = Array.fill(fm.m)(rng.nextGaussian())
+    val x = fm.materialize
+    val xb = x.mv(beta)
+    val r = Array.tabulate(fm.n)(k => y(k) - xb(k))
     val lambda = ridge * Mat.ridgeScale(sigmaInv.a, s)
 
     // Direct: one s x s inverse per cluster.
@@ -61,15 +71,29 @@ class BlockEStepSpec extends AnyFunSuite {
       trRef += (gi * vmm).trace
     }
 
-    for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(fm.materialize, fm.clusterRanges))) {
+    for (bk <- Seq(new FactorizedBackend(fm), new DenseBackend(x, fm.clusterRanges))) {
       val est = new BlockEStep(bk.blockGrams, fm.m, re, ridge)
       val mu = new Array[Double](g * s)
-      val tr = est.run(bk.clusterXtv(r), sigma2, sigmaInv.a, mu)
+      val tr = est.run(bk.clusterXtv(y), beta, sigma2, sigmaInv.a, mu)
       val what = s"${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}"
       assert(est.escalations == 0, what)
       assert(relErr(mu, muRef) < 1e-9, s"mu, $what")
       assert(relErr(est.sigAcc, sumRef.a) < 1e-9, s"Sigma sum, $what")
       assert(math.abs(tr - trRef) < 1e-9 * math.abs(trRef), s"trace, $what")
+
+      // X^T Z b = sum_i X_i^T X_i b~_i and sum_i b~_i^T X_i^T y_i, row by row.
+      val xtzbRef = new Array[Double](fm.m)
+      var btyRef = 0.0
+      for (i <- 0 until g) {
+        val (start, l) = fm.clusterRanges(i)
+        for (row <- start until start + l) {
+          val zb = (0 until s).map(k => x(row, re(k)) * mu(i * s + k)).sum
+          (0 until fm.m).foreach(j => xtzbRef(j) += x(row, j) * zb)
+          btyRef += y(row) * zb
+        }
+      }
+      assert(relErr(est.xtzb, xtzbRef) < 1e-12, s"X^T Z b, $what")
+      assert(math.abs(est.bty - btyRef) < 1e-12 * math.abs(btyRef), s"b^T X^T y, $what")
     }
   }
 

@@ -61,9 +61,12 @@ class EMStatisticsSpec extends AnyFunSuite {
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
     val padded = new Array[Double](g * m)
+    val zero = new Array[Double](m)
     for (_ <- 0 until iters) {
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      val trAcc = est.run(bk.clusterXtv(resid), sigma2, sigmaInv.a, bs)
+      // At beta = 0 the sweep forms X_i^T y_i - G_i beta = X_i^T r_i exactly;
+      // its X^T Z b is not used here.
+      val trAcc = est.run(bk.clusterXtv(resid), zero, sigma2, sigmaInv.a, bs)
       for (i <- 0 until g; k <- 0 until s) padded(i * m + re(k)) = bs(i * s + k)
       val zb = bk.clusterXa(padded)
       beta = gramInv.mv(bk.xtv(sub(y, zb)))
