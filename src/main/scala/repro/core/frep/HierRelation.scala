@@ -126,13 +126,17 @@ object HierRelation {
   }
 
   /** The values of `row` at positions `cols` as strings; `attrs(i)` names
-    * the attribute at `cols(i)`. A null value is rejected: as a string it
-    * would merge with a real value "null".
+    * the attribute at `cols(i)`. A null value is rejected (`requireValue`).
     */
   def keyOf(row: Row, cols: Seq[Int], attrs: Seq[String]): Vector[String] =
     cols.indices.map { i =>
-      if (row.isNullAt(cols(i)))
-        throw new IllegalArgumentException(s"null value of attribute ${attrs(i)}")
+      requireValue(!row.isNullAt(cols(i)), attrs(i))
       row.get(cols(i)).toString
     }.toVector
+
+  /** Rejects a null value of attribute `attr`: as a string it would merge
+    * with a real value "null".
+    */
+  def requireValue(present: Boolean, attr: String): Unit =
+    if (!present) throw new IllegalArgumentException(s"null value of attribute $attr")
 }

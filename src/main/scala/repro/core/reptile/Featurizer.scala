@@ -72,15 +72,19 @@ object Featurizer {
       }
     }
 
+    // An aux column whose join matches no hierarchy value would be all
+    // zeros: a parameter no data moves, so it is left out.
     for (a <- aux) {
       val loc = locate(hiers, a.joinAttr)
       loc.foreach { case (h, ai) =>
         val rows = a.df.select(col(a.joinAttr), col(a.measure).cast("double")).collect()
         val raw = rows.map(r => String.valueOf(r.get(0)) -> r.getDouble(1)).toMap
-        val vals = raw.values.toSeq
-        val mu = vals.sum / math.max(vals.size, 1)
-        val sd = math.sqrt(vals.map(v => (v - mu) * (v - mu)).sum / math.max(vals.size, 1)) max 1e-12
-        cols += FeatureColumn(s"aux:${a.name}", h, ai, v => raw.get(v).map(x => (x - mu) / sd).getOrElse(0.0))
+        if (hiers(h).segments(ai).exists(s => raw.contains(s.value))) {
+          val vals = raw.values.toSeq
+          val mu = vals.sum / math.max(vals.size, 1)
+          val sd = math.sqrt(vals.map(v => (v - mu) * (v - mu)).sum / math.max(vals.size, 1)) max 1e-12
+          cols += FeatureColumn(s"aux:${a.name}", h, ai, v => raw.get(v).map(x => (x - mu) / sd).getOrElse(0.0))
+        }
       }
     }
     cols.result()

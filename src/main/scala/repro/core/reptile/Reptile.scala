@@ -1,7 +1,12 @@
 package repro.core.reptile
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, UnsafeProjection, UnsafeRow}
+import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, DoubleType, FloatType, StringType}
+import org.apache.spark.unsafe.Platform
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
 import repro.core.model.{FactorizedBackend, LinearModel, MLBackend, MultiLevelEM}
@@ -70,7 +75,7 @@ final case class DimRankResult(
   * depths, the drill-down hierarchy last. For every non-empty group,
   * `keys` holds its values of `attrs`, `stats` its (count, mean, std) and
   * `sums` Spark's `sum` of the measure. The driver step derives everything
-  * else from these rows, without another Spark job.
+  * else from these groups, without another Spark job.
   */
 final class Drilldown(
     val used: Vector[(Dimension, Int)],
@@ -129,59 +134,193 @@ object Drilldown {
   /** The grouping attributes of hierarchies `used`, in matrix order. */
   def attrsOf(used: Vector[(Dimension, Int)]): Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep) }
 
-  /** Reads collected statistics rows: the values of `attrsOf(used)` at
-    * columns `cols`, then count, mean, std, sum and the count of non-null
-    * measures from column `statBase` on. No rows means an empty fact table,
-    * which has nothing to rank. A null measure would make count x mean
-    * overstate the group's sum, and a NaN or infinite one would make its
-    * statistics NaN, so either is rejected, naming `measure`.
+  /** Reads merged group buffers: `b`'s keys hold the values of
+    * `attrsOf(used)`, of Spark types `types`, written here as
+    * `Row.get(i).toString` would write them. A group reports Spark's
+    * statistics: `count(1)`, `avg` (sum / n), `stddev_samp` (0 for one
+    * value) and `sum`. No groups means an empty fact table, which has
+    * nothing to rank. A null attribute value is rejected, naming the
+    * attribute; a null measure would make count x mean overstate the
+    * group's sum, and a NaN or infinite one would make its statistics NaN,
+    * so either is rejected, naming `measure`.
     */
-  def fromRows(used: Vector[(Dimension, Int)], rows: Seq[Row], cols: Seq[Int], statBase: Int,
-               measure: String): Drilldown = {
+  private[reptile] def fromBuffers(used: Vector[(Dimension, Int)], b: GroupBuffers, types: Seq[DataType],
+                                   measure: String): Drilldown = {
     val attrs = attrsOf(used)
-    if (rows.isEmpty)
+    if (b.groups == 0)
       throw new IllegalArgumentException(s"the fact table has no rows to group by ${attrs.mkString("(", ", ", ")")}")
-    rows.foreach { r =>
-      val nulls = r.getDouble(statBase) - r.getLong(statBase + 4)
-      if (nulls > 0)
-        throw new IllegalArgumentException(s"measure $measure is null in ${nulls.toLong} rows of group " +
-          HierRelation.keyOf(r, cols, attrs).mkString("(", ", ", ")"))
-      if (!java.lang.Double.isFinite(r.getDouble(statBase + 1)))
-        throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group " +
-          HierRelation.keyOf(r, cols, attrs).mkString("(", ", ", ")"))
+    val strings: Seq[(UnsafeRow, Int) => String] = types.map {
+      case StringType => (k: UnsafeRow, i: Int) => k.getUTF8String(i).toString
+      case dt =>
+        val toScala = CatalystTypeConverters.createToScalaConverter(dt)
+        (k: UnsafeRow, i: Int) => toScala(k.get(i, dt)).toString
     }
-    new Drilldown(used,
-      rows.map(r => HierRelation.keyOf(r, cols, attrs)).toVector,
-      rows.map(r => GroupStats(r.getDouble(statBase), r.getDouble(statBase + 1), r.getDouble(statBase + 2))).toVector,
-      rows.map(_.getDouble(statBase + 3)).toVector)
+    val groups = (0 until b.groups).toVector
+    val keys = groups.map { g =>
+      val k = b.key(g)
+      val key = Vector.tabulate(attrs.size) { i =>
+        HierRelation.requireValue(!k.isNullAt(i), attrs(i))
+        strings(i)(k, i)
+      }
+      val nulls = b.rows(g) - b.n(g).toLong
+      if (nulls > 0)
+        throw new IllegalArgumentException(s"measure $measure is null in $nulls rows of group " +
+          key.mkString("(", ", ", ")"))
+      if (!java.lang.Double.isFinite(b.mean(g)))
+        throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group " +
+          key.mkString("(", ", ", ")"))
+      key
+    }
+    new Drilldown(used, keys, groups.map(g => GroupStats(b.rows(g).toDouble, b.mean(g), b.std(g))), groups.map(b.sum))
+  }
+}
+
+/** Per-group row counts and Spark's aggregation buffers of the measure,
+  * keyed by the grouping attributes' values as an `UnsafeRow` (compared
+  * byte for byte): one task's partial aggregate, or their merge on the
+  * driver. `n`, `avg` and `m2` are `CentralMomentAgg`'s buffer (count,
+  * mean and summed squared deviation of the non-null measures) and `sum` is
+  * `Sum`'s and `Average`'s. Updates and merges follow Spark's formulas in
+  * Spark's order of operations, and a merge into a new group starts from
+  * Spark's empty buffer, so a group whose rows lie in one partition gets
+  * Spark's statistics bit for bit. `pack()` lays the keys out back to back
+  * in one byte array, so a task ships flat arrays.
+  */
+private[reptile] final class GroupBuffers(val width: Int) extends Serializable {
+  var groups = 0
+  var rows = new Array[Long](16)
+  var n = new Array[Double](16)
+  var avg = new Array[Double](16)
+  var m2 = new Array[Double](16)
+  var sum = new Array[Double](16)
+  /** Group `g`'s key is `keyBytes(keyStarts(g) until keyStarts(g + 1))`. */
+  var keyBytes: Array[Byte] = Array.emptyByteArray
+  var keyStarts: Array[Int] = Array(0)
+  @transient private lazy val keys = scala.collection.mutable.ArrayBuffer.empty[UnsafeRow]
+  @transient private lazy val index = new java.util.HashMap[UnsafeRow, Integer]()
+
+  /** The group whose key is `key`, added with empty buffers if new. `key`
+    * is copied, so the caller may reuse it.
+    */
+  def groupOf(key: UnsafeRow): Int = {
+    val found = index.get(key)
+    if (found != null) found
+    else {
+      if (groups == rows.length) resize(2 * groups)
+      val stored = key.copy()
+      keys += stored
+      index.put(stored, groups)
+      groups += 1
+      groups - 1
+    }
+  }
+
+  /** Group `g`'s key, once packed. */
+  def key(g: Int): UnsafeRow = {
+    val r = new UnsafeRow(width)
+    r.pointTo(keyBytes, Platform.BYTE_ARRAY_OFFSET + keyStarts(g), keyStarts(g + 1) - keyStarts(g))
+    r
+  }
+
+  /** Spark's update of group `g` by one row whose measure is `x`, or null
+    * when `measured` is false.
+    */
+  def update(g: Int, measured: Boolean, x: Double): Unit = {
+    rows(g) += 1
+    if (measured) {
+      val newN = n(g) + 1.0
+      val delta = x - avg(g)
+      val deltaN = delta / newN
+      avg(g) = avg(g) + deltaN
+      m2(g) = m2(g) + delta * (delta - deltaN)
+      n(g) = newN
+      sum(g) = sum(g) + x
+    }
+  }
+
+  /** Spark's merge of `o`'s group `og` into group `g`. */
+  def merge(g: Int, o: GroupBuffers, og: Int): Unit = {
+    rows(g) += o.rows(og)
+    val (n1, n2) = (n(g), o.n(og))
+    val newN = n1 + n2
+    val delta = o.avg(og) - avg(g)
+    val deltaN = if (newN == 0.0) 0.0 else delta / newN
+    avg(g) = avg(g) + deltaN * n2
+    m2(g) = m2(g) + o.m2(og) + delta * deltaN * n1 * n2
+    n(g) = newN
+    sum(g) = sum(g) + o.sum(og)
+  }
+
+  /** Spark's `avg` of group `g`'s measure. */
+  def mean(g: Int): Double = sum(g) / n(g)
+
+  /** Spark's `stddev_samp` of group `g`'s measure, 0 for one value. */
+  def std(g: Int): Double = if (n(g) <= 1.0) 0.0 else math.sqrt(m2(g) / (n(g) - 1.0))
+
+  /** Trims the buffers to `groups` and packs the keys. */
+  def pack(): GroupBuffers = {
+    resize(groups)
+    keyStarts = keys.scanLeft(0)(_ + _.getSizeInBytes).toArray
+    keyBytes = new Array[Byte](keyStarts.last)
+    keys.indices.foreach(g => keys(g).writeToMemory(keyBytes, Platform.BYTE_ARRAY_OFFSET + keyStarts(g)))
+    this
+  }
+
+  private def resize(len: Int): Unit = {
+    val l = len max 16
+    rows = java.util.Arrays.copyOf(rows, l)
+    n = java.util.Arrays.copyOf(n, l)
+    avg = java.util.Arrays.copyOf(avg, l)
+    m2 = java.util.Arrays.copyOf(m2, l)
+    sum = java.util.Arrays.copyOf(sum, l)
+  }
+}
+
+object GroupBuffers {
+  /** One task's pass over its rows: the attribute columns of `types`, then
+    * the measure as a double. Every grouping (column indices
+    * `groupings(j)`) fills its own buffers in row order, keyed by an
+    * `UnsafeRow` of its columns. Float and double keys go through Spark's
+    * `NormalizeNaNAndZero`, as in Spark's grouping, so `-0.0` is `0.0`.
+    */
+  def aggregate(rows: Iterator[InternalRow], types: Array[DataType],
+                groupings: Array[Array[Int]]): Array[GroupBuffers] = {
+    val measure = types.length
+    val projections = groupings.map(cols => UnsafeProjection.create(cols.toSeq.map { c =>
+      val ref = BoundReference(c, types(c), nullable = true)
+      types(c) match {
+        case FloatType | DoubleType => NormalizeNaNAndZero(ref)
+        case _                      => ref
+      }
+    }))
+    val bufs = groupings.map(cols => new GroupBuffers(cols.length))
+    rows.foreach { row =>
+      val measured = !row.isNullAt(measure)
+      val x = if (measured) row.getDouble(measure) else 0.0
+      var j = 0
+      while (j < bufs.length) {
+        bufs(j).update(bufs(j).groupOf(projections(j)(row)), measured, x)
+        j += 1
+      }
+    }
+    bufs.map(_.pack())
   }
 }
 
 /** The complaint-based drill-down engine (Problem 1).
   *
-  * Each invocation runs one Spark aggregation over the fact table (the
-  * data step): the statistics of every drill-down group, collected to the
-  * driver. The driver step derives the hierarchy relations and main-effect
-  * features from those rows, trains the multi-level model over the
-  * factorised representation of the feature matrix and ranks the groups.
+  * Each invocation runs one map-only Spark stage over the fact table (the
+  * data step): every task aggregates its own rows per drill-down group, and
+  * the driver merges the tasks' statistics. The driver step derives the
+  * hierarchy relations and main-effect features from those groups, trains
+  * the multi-level model over the factorised representation of the feature
+  * matrix and ranks the groups.
   */
 object Reptile {
 
-  private def statColumns(measure: String): Seq[Column] = Seq(
-    count(lit(1)).cast("double").as("stat_count"),
-    avg(col(measure)).as("stat_mean"),
-    coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
-    sum(col(measure)).cast("double").as("stat_sum"),
-  )
-
-  /** The statistics the data step collects: `statColumns` and the count of
-    * non-null measures, which `Drilldown.fromRows` checks.
-    */
-  private def collectedColumns(measure: String): Seq[Column] =
-    statColumns(measure) :+ count(col(measure)).as("stat_measured")
-
-  /** Group statistics for a drill-down: one Spark groupBy over the fact
-    * table computing the whole distributive set (count / mean / std / sum).
+  /** Group statistics for a drill-down as a DataFrame: one Spark groupBy
+    * over the fact table computing the whole distributive set (count /
+    * mean / std / sum), the statistics the engine's data step reports.
     * A null measure would make count x mean overstate the group's sum, so
     * it fails the job with an error naming `measure` and the group.
     */
@@ -190,8 +329,11 @@ object Reptile {
     val group = concat_ws(", ", attrs.map(a => col(a).cast("string")): _*)
     val checked = when(nulls === 0, count(lit(1)).cast("double")).otherwise(raise_error(concat(
       lit(s"measure $measure is null in "), nulls.cast("string"), lit(" rows of group ("), group, lit(")"))))
-    val stats = checked.as("stat_count") +: statColumns(measure).tail
-    fact.groupBy(attrs.map(col): _*).agg(stats.head, stats.tail: _*)
+    fact.groupBy(attrs.map(col): _*).agg(
+      checked.as("stat_count"),
+      avg(col(measure)).as("stat_mean"),
+      coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
+      sum(col(measure)).cast("double").as("stat_sum"))
   }
 
   /** The hierarchies of drilling `targetDim` one level deeper, in matrix
@@ -207,35 +349,34 @@ object Reptile {
     others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))
   }
 
-  /** The data step of one drill-down: one Spark aggregation, collected. */
-  def collectDrilldown(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Drilldown = {
-    val attrs = Drilldown.attrsOf(used)
-    val stats = collectedColumns(measure)
-    val rows = fact.groupBy(attrs.map(col): _*).agg(stats.head, stats.tail: _*).collect()
-    Drilldown.fromRows(used, rows.toSeq, attrs.indices, attrs.size, measure)
-  }
+  /** The data step of one drill-down. */
+  def collectDrilldown(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Drilldown =
+    collectDrilldowns(fact, Vector(used), measure).head
 
-  /** The data step of several drill-downs in one scan: a `groupingSets`
-    * aggregation with one set per drill-down, collected once. A row's
-    * `grouping_id()` names its set, so the nulls of grouped-out columns
-    * are never read as values.
+  /** The data step of several drill-downs: one Spark job of one map-only
+    * stage over the grouping attributes and the measure. Each task fills
+    * one set of `GroupBuffers` per distinct grouping in a single pass over
+    * its rows; the driver merges the tasks' buffers in partition order with
+    * Spark's merge. The statistics are distributive, so no shuffle is
+    * needed: the driver receives every group anyway.
     */
   def collectDrilldowns(fact: DataFrame, useds: Vector[Vector[(Dimension, Int)]], measure: String): Vector[Drilldown] = {
     val attrLists = useds.map(Drilldown.attrsOf)
     val cols = attrLists.flatten.distinct
-    // One bit per grouping column, the first column the most significant;
-    // a bit is set when its column is grouped out.
-    def groupingId(attrs: Seq[String]): Long =
-      cols.foldLeft(0L)((id, c) => (id << 1) | (if (attrs.contains(c)) 0L else 1L))
-    val stats = collectedColumns(measure)
-    val rows = fact
-      .groupingSets(attrLists.distinctBy(_.toSet).map(_.map(col)), cols.map(col): _*)
-      .agg(grouping_id().as("grouping_id"), stats: _*)
+    val groupings = attrLists.distinct
+    val scan = fact.select(cols.map(col) :+ col(measure).cast("double"): _*)
+    val types = scan.schema.fields.init.map(_.dataType)
+    val groupCols = groupings.map(_.map(cols.indexOf).toArray).toArray
+    val partials = scan.queryExecution.toRdd
+      .mapPartitions(rows => Iterator(GroupBuffers.aggregate(rows, types, groupCols)))
       .collect()
-    val bySet = rows.groupBy(_.getLong(cols.size))
+    val merged = groupings.indices.map { j =>
+      val m = new GroupBuffers(groupings(j).size)
+      partials.foreach(p => (0 until p(j).groups).foreach(g => m.merge(m.groupOf(p(j).key(g)), p(j), g)))
+      m.pack()
+    }
     useds.zip(attrLists).map { case (used, attrs) =>
-      Drilldown.fromRows(used, bySet.getOrElse(groupingId(attrs), Array.empty[Row]).toSeq,
-        attrs.map(cols.indexOf), cols.size + 1, measure)
+      Drilldown.fromBuffers(used, merged(groupings.indexOf(attrs)), attrs.map(a => types(cols.indexOf(a))), measure)
     }
   }
 

@@ -169,6 +169,26 @@ class HierRelationSpec extends SparkSpec {
     assert(hiers(1).dim == "geo" && hiers(1).attrs == Vector("district", "village"))
   }
 
+  test("relations projected from statistic keys of non-string attributes equal fromDataFrame") {
+    import spark.implicits._
+    val day = java.sql.Date.valueOf(_: String)
+    val at = java.sql.Timestamp.valueOf(_: String)
+    val df = Seq(
+      (1, 1L << 40, 1.5, true, day("2020-03-01"), at("2020-03-01 10:00:00"), 1.0),
+      (1, 1L << 40, 1e20, false, day("1999-12-31"), at("1999-12-31 23:59:59.5"), 2.0),
+      (-7, -3L, 0.1, true, day("2020-03-01"), at("2020-03-01 10:00:00"), 3.0),
+      (42, 0L, -0.0, false, day("1970-01-01"), at("1970-01-01 00:00:00"), 4.0),
+      (42, 0L, 0.0, true, day("2020-02-29"), at("2020-02-29 12:30:00"), 5.0),
+    ).toDF("i", "l", "d", "b", "day", "ts", "v")
+    val attrs = Vector("i", "l", "d", "b", "day", "ts")
+    val used = attrs.map(a => (Dimension(a, Vector(a)), 1))
+    val hiers = Reptile.collectDrilldown(df, used, "v").hiers
+    attrs.zip(hiers).foreach { case (a, h) =>
+      assert(h.rows == HierRelation.fromDataFrame(df, a, Seq(a)).rows, a)
+    }
+    assert(hiers(2).rows.flatten.count(_ == "0.0") == 1 && !hiers(2).rows.flatten.contains("-0.0"))
+  }
+
   test("relations projected from statistic keys fail on an FD violation like fromDataFrame") {
     import spark.implicits._
     // zata appears under two districts

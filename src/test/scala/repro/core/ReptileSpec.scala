@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.SparkSpec
 import repro.core.frep.Seg
 import repro.core.reptile._
@@ -222,17 +222,19 @@ class ReptileSpec extends SparkSpec {
     assert(res.candidates.size == 4)
   }
 
-  /** Spark jobs started by `body`, counted by a listener. The listener bus
-    * delivers events in order, so the jobs counted are those between two
-    * marker jobs run before and after `body`.
+  /** Spark jobs and stages started by `body`, counted by a listener. The
+    * listener bus delivers events in order, so the work counted is that
+    * between two marker jobs run before and after `body`.
     */
-  private def jobsOf(body: => Any): Int = {
+  private def sparkWork(body: => Any): (Int, Int) = {
     val sc = spark.sparkContext
     val key = "reptile.spec.marker"
-    val starts = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    // (is a job start, the marker property of its job)
+    val events = new java.util.concurrent.ConcurrentLinkedQueue[(Boolean, String)]()
+    def markerOf(p: java.util.Properties): String = Option(p).flatMap(p => Option(p.getProperty(key))).getOrElse("")
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        starts.add(Option(e.properties).flatMap(p => Option(p.getProperty(key))).getOrElse(""))
+      override def onJobStart(e: SparkListenerJobStart): Unit = events.add((true, markerOf(e.properties)))
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = events.add((false, markerOf(e.properties)))
     }
     def marker(name: String): Unit = {
       sc.setLocalProperty(key, name)
@@ -244,23 +246,27 @@ class ReptileSpec extends SparkSpec {
       body
       marker("after")
       val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!starts.contains("after") && System.nanoTime() < deadline) Thread.sleep(10)
-      val seen = starts.asScala.toVector
-      assert(seen.contains("before") && seen.contains("after"), s"markers not seen: $seen")
-      seen.indexOf("after") - seen.indexOf("before") - 1
+      while (!events.contains((true, "after")) && System.nanoTime() < deadline) Thread.sleep(10)
+      val seen = events.asScala.toVector
+      val (from, to) = (seen.indexOf((true, "before")), seen.indexOf((true, "after")))
+      assert(from >= 0 && to >= 0, s"markers not seen: $seen")
+      val window = seen.slice(from + 1, to).filter(_._2 == "")
+      (window.count(_._1), window.count(!_._1))
     } finally sc.removeSparkListener(listener)
   }
 
-  test("rankDim and recommend each run at most 2 Spark jobs") {
+  private def jobsOf(body: => Any): Int = sparkWork(body)._1
+
+  test("rankDim and recommend each run one Spark job of one stage") {
     val fact = panel(11).toDF("year", "district", "village", "sev")
     val complaint = Complaint(AggType.Mean, Direction.TooLow)
-    val rankJobs = jobsOf(Reptile.rankDim(spark, fact, dims, Map("time" -> 1, "geo" -> 1),
+    val rankWork = sparkWork(Reptile.rankDim(spark, fact, dims, Map("time" -> 1, "geo" -> 1),
       Map("year" -> "1986", "district" -> "ofla"), complaint, "sev", "geo", cfg = cfg))
-    assert(rankJobs >= 1 && rankJobs <= 2, s"rankDim ran $rankJobs jobs")
+    assert(rankWork == (1, 1), s"rankDim ran (jobs, stages) = $rankWork")
     // two candidate hierarchies (time, and geo -> village) in one scan
-    val recJobs = jobsOf(Reptile.recommend(spark, fact, dims, Map("geo" -> 1),
+    val recWork = sparkWork(Reptile.recommend(spark, fact, dims, Map("geo" -> 1),
       Map("district" -> "ofla"), complaint, "sev", cfg = cfg))
-    assert(recJobs >= 1 && recJobs <= 2, s"recommend ran $recJobs jobs")
+    assert(recWork == (1, 1), s"recommend ran (jobs, stages) = $recWork")
   }
 
   test("recommend's grouping-sets scan ranks each candidate as rankDim does") {
@@ -408,7 +414,7 @@ class ReptileSpec extends SparkSpec {
     assert(recommended.getMessage.contains("the fact table has no rows to group by"), recommended.getMessage)
   }
 
-  test("an auxiliary dataset that joins no group adds a zero column and leaves the ranking as it was") {
+  test("an aux dataset joining no group leaves the fit unchanged") {
     val rows = panel(19).map {
       case (y, d, v, m) if y == "1986" && v == "ofla-v1" => (y, d, v, m - 4.0)
       case r                                             => r
@@ -422,22 +428,21 @@ class ReptileSpec extends SparkSpec {
         complaint = Complaint(AggType.Mean, Direction.TooLow),
         measure = "sev", targetDim = "geo", aux = aux, cfg = cfg)
 
-    // The aux column the driver step builds is all zeros.
+    // The aux column would be all zeros, so the driver step leaves it out.
     val used = Reptile.drilldownOf(dims, Map("time" -> 1, "geo" -> 1), "geo")
     val dd = Reptile.collectDrilldown(fact, used, "sev")
-    val col = dd.features(StatKind.MeanStat, Seq(aux), cfg).find(_.label == "aux:rain").get
-    assert(dd.hiers(col.hierIdx).segments(col.attrIdx).forall(seg => col.f(seg.value) == 0.0))
+    val labels = dd.features(StatKind.MeanStat, Seq(aux), cfg).map(_.label)
+    assert(!labels.contains("aux:rain"), labels)
+    assert(labels == dd.features(StatKind.MeanStat, Nil, cfg).map(_.label))
 
     val plain = rank(Nil)
     val joined = rank(Seq(aux))
-    val preds = joined.candidates.map(_.predicted("mean"))
-    assert(preds.forall(p => java.lang.Double.isFinite(p)), preds)
-    assert(joined.best.values == plain.best.values)
     assert(plain.best.values("village") == "ofla-v1")
     joined.candidates.zip(plain.candidates).foreach { case (a, b) =>
       assert(a.values == b.values)
       val (p, q) = (a.predicted("mean"), b.predicted("mean"))
-      assert(math.abs(p - q) <= 1e-6 * math.abs(q), s"${a.values}: $p vs $q")
+      assert(java.lang.Double.doubleToRawLongBits(p) == java.lang.Double.doubleToRawLongBits(q), s"${a.values}: $p vs $q")
+      assert(a.score == b.score, s"${a.values}")
     }
   }
 }
