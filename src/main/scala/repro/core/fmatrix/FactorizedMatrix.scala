@@ -77,22 +77,10 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   }
 
   /** Product of totals of hierarchies strictly after h (stride of h). */
-  val innerSize: Vector[Int] = {
-    val arr = new Array[Int](H)
-    var acc = 1
-    var h = H - 1
-    while (h >= 0) { arr(h) = acc; acc *= totals(h); h -= 1 }
-    arr.toVector
-  }
+  val innerSize: Vector[Int] = totals.scanRight(1)(_ * _).tail
 
   /** Product of totals of hierarchies strictly before h. */
-  val outerSize: Vector[Int] = {
-    val arr = new Array[Int](H)
-    var acc = 1
-    var h = 0
-    while (h < H) { arr(h) = acc; acc *= totals(h); h += 1 }
-    arr.toVector
-  }
+  val outerSize: Vector[Int] = totals.scanLeft(1)(_ * _).init
 
   /** Per column: the feature value for each row of its hierarchy relation
     * (null for the intercept). Isolates the attribute->feature mapping from
@@ -238,17 +226,9 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   val numClusters: Int = outerSize(H - 1) * blocks.size
 
   /** (start, len) row ranges of each cluster, in row order. */
-  lazy val clusterRanges: Array[(Int, Int)] = {
-    val outer = outerSize(H - 1); val th = totals(H - 1)
-    val out = new Array[(Int, Int)](numClusters)
-    var i = 0
-    var o = 0
-    while (o < outer) {
-      var b = 0
-      while (b < blocks.size) { val (s, l) = blocks(b); out(i) = (o * th + s, l); i += 1; b += 1 }
-      o += 1
-    }
-    out
+  lazy val clusterRanges: Array[(Int, Int)] = Array.tabulate(numClusters) { i =>
+    val (s, l) = blocks(i % blocks.size)
+    (i / blocks.size * totals(H - 1) + s, l)
   }
 
   /** Column classification for cluster ops: a column "varies" within a
@@ -400,20 +380,11 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
   // -------------------------------------------------------------- helpers
 
   /** The per-hierarchy row indices making up global row `idx`. */
-  def coords(idx: Int): Array[Int] = {
-    val c = new Array[Int](H)
-    var rem = idx
-    var h = 0
-    while (h < H) { c(h) = rem / innerSize(h); rem = rem % innerSize(h); h += 1 }
-    c
-  }
+  def coords(idx: Int): Array[Int] = Array.tabulate(H)(h => idx / innerSize(h) % totals(h))
 
   def indexOf(hierRows: Seq[Int]): Int = {
     require(hierRows.size == H, "indexOf arity mismatch")
-    var idx = 0
-    var h = 0
-    while (h < H) { idx += hierRows(h) * innerSize(h); h += 1 }
-    idx
+    hierRows.indices.map(h => hierRows(h) * innerSize(h)).sum
   }
 
   /** Feature row for global row idx (materializes one row). */
@@ -423,12 +394,6 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
       val col = cols(j)
       if (col.hierIdx < 0) 1.0 else colVals(j)(c(col.hierIdx))
     }
-  }
-
-  /** The attribute-value tuple of global row idx, in hierarchy order. */
-  def tupleOf(idx: Int): Vector[String] = {
-    val c = coords(idx)
-    hiers.indices.flatMap(h => hiers(h).rows(c(h))).toVector
   }
 
   /** Fully materialized n x m matrix — only for tests and the naive

@@ -13,10 +13,11 @@ final case class Seg(value: String, start: Int, len: Int)
   * every attribute's value occupy a single contiguous run of rows once the
   * relation is sorted — exactly the property the factorised matrix
   * operations exploit (range sums for left multiplication, row-diff
-  * iteration for right multiplication). The constructor validates the FDs
-  * and fails loudly if a child value appears under two parents.
+  * iteration for right multiplication). The constructor takes the rows
+  * sorted and distinct, validates the FDs and fails loudly if a child
+  * value appears under two parents.
   */
-final class HierRelation private (
+final class HierRelation private[core] (
     val dim: String,
     val attrs: Vector[String],
     val rows: Vector[Vector[String]],

@@ -27,8 +27,9 @@ final case class AuxDataset(name: String, df: DataFrame, joinAttr: String, measu
 object Featurizer {
 
   /** Featurizes the drill-down statistics in `statsDf`: collects each
-    * group's key and `yCol` in one Spark job, then runs [[fromGroups]].
-    * Groups with a null `yCol` are skipped, as Spark's `median` skips them.
+    * group's key and `yCol` in one Spark job, resolves each key to its row
+    * in every hierarchy of `hiers`, then runs [[fromGroups]]. Groups with a
+    * null `yCol` are skipped, as Spark's `median` skips them.
     */
   def build(
       statsDf: DataFrame,
@@ -40,24 +41,25 @@ object Featurizer {
     val attrs = hiers.flatMap(_.attrs)
     val rows = statsDf.select(attrs.map(col) :+ col(yCol).cast("double"): _*).collect()
       .filterNot(_.isNullAt(attrs.size))
-    fromGroups(rows.map(r => HierRelation.keyOf(r, attrs.indices, attrs)).toVector,
-      rows.map(_.getDouble(attrs.size)), hiers, aux, minParallel)
+    val offsets = hiers.scanLeft(0)(_ + _.depth)
+    val groupRows = hiers.indices.map { h =>
+      rows.map(r => hiers(h).rowIndexOf(HierRelation.keyOf(r, offsets(h) until offsets(h + 1), hiers(h).attrs)))
+    }.toVector
+    fromGroups(groupRows, rows.map(_.getDouble(attrs.size)), hiers, aux, minParallel)
   }
 
-  /** Featurizes on the driver. `keys(g)` holds group g's values of the
-    * attributes of `hiers`, in hierarchy order; `targets(g)` is the
-    * statistic its model predicts.
+  /** Featurizes on the driver. Group g is row `groupRows(h)(g)` of
+    * hierarchy h; `targets(g)` is the statistic its model predicts.
     */
   def fromGroups(
-      keys: Vector[Vector[String]],
+      groupRows: Vector[Array[Int]],
       targets: Array[Double],
       hiers: Vector[HierRelation],
       aux: Seq[AuxDataset],
       minParallel: Double = 2.0,
   ): Vector[FeatureColumn] = {
-    require(keys.size == targets.length, s"${keys.size} group keys but ${targets.length} targets")
+    require(groupRows.forall(_.length == targets.length), s"group rows and ${targets.length} targets differ in length")
     val n = hiers.map(_.total.toLong).product.toDouble
-    val offsets = hiers.scanLeft(0)(_ + _.depth)
     val cols = Vector.newBuilder[FeatureColumn]
     cols += FeatureColumn.Intercept
 
@@ -65,8 +67,8 @@ object Featurizer {
       val attr = hiers(h).attrs(ai)
       val distinct = hiers(h).segments(ai).size
       if (n / distinct >= minParallel) {
-        val k = offsets(h) + ai
-        val map = keys.indices.groupMap(keys(_)(k))(targets(_)).map { case (v, ys) => v -> sparkMedian(ys.toArray) }
+        val map = targets.indices.groupMap(g => hiers(h).rows(groupRows(h)(g))(ai))(targets)
+          .map { case (v, ys) => v -> sparkMedian(ys.toArray) }
         val default = if (map.isEmpty) 0.0 else sparkMedian(map.values.toArray)
         cols += FeatureColumn(s"main:$attr", h, ai, v => map.getOrElse(v, default))
       }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, UnsafeProjection, UnsafeRow}
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DataType, DoubleType, FloatType, StringType}
+import org.apache.spark.sql.types.{DataType, DoubleType, FloatType}
 import org.apache.spark.unsafe.Platform
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
@@ -71,40 +71,43 @@ final case class DimRankResult(
 }
 
 /** The statistics of one drill-down, collected to the driver: the data
-  * step's output. `used` lists the hierarchies in matrix order with their
-  * depths, the drill-down hierarchy last. For every non-empty group,
-  * `keys` holds its values of `attrs`, `stats` its (count, mean, std) and
-  * `sums` Spark's `sum` of the measure. The driver step derives everything
-  * else from these groups, without another Spark job.
+  * step's output, as one table of groups. `used` lists the hierarchies in
+  * matrix order with their depths, the drill-down hierarchy last, and
+  * `hiers` their relations. Group `g` is row `groupRows(h)(g)` of
+  * hierarchy `h`; `stats(g)` holds its (count, mean, std) and `sums(g)`
+  * Spark's `sum` of the measure. Every later step indexes this table.
   */
 final class Drilldown(
     val used: Vector[(Dimension, Int)],
-    val keys: Vector[Vector[String]],
+    val hiers: Vector[HierRelation],
+    val groupRows: Vector[Array[Int]],
     val stats: Vector[GroupStats],
-    val sums: Vector[Double],
+    val sums: Array[Double],
 ) {
   val attrs: Vector[String] = Drilldown.attrsOf(used)
 
-  /** Each hierarchy's relation: the group keys projected onto its
-    * attributes. Every fact row falls in exactly one group, so this is the
-    * set `select(attrs).distinct()` returns.
+  /** Rows of the model's matrix (the cartesian product of the relations),
+    * and each hierarchy's stride in it: the last varies fastest, as in
+    * `FactorizedMatrix.indexOf`.
     */
-  val hiers: Vector[HierRelation] = {
-    val offsets = used.scanLeft(0)(_ + _._2)
-    used.indices.map { h =>
-      val (d, dep) = used(h)
-      HierRelation(d.name, d.attrs.take(dep), keys.map(_.slice(offsets(h), offsets(h + 1))))
-    }.toVector
-  }
+  val n: Long = hiers.map(_.total.toLong).product
+  private val strides: Vector[Long] = hiers.map(_.total.toLong).scanRight(1L)(_ * _).tail
 
-  val observed: Map[Vector[String], GroupStats] = keys.zip(stats).toMap
+  /** Each group's matrix row. */
+  lazy val matrixRows: Array[Int] = {
+    require(n <= Int.MaxValue, s"matrix too tall: $n rows")
+    Array.tabulate(stats.size)(g => hiers.indices.foldLeft(0L)((r, h) => r + groupRows(h)(g) * strides(h)).toInt)
+  }
 
   /** The groups a complaint's drill-down ranks: the siblings under the
     * complaint tuple in the last hierarchy. `filters` holds the tuple's
-    * value of every drilled attribute. A candidate is its row in each
-    * hierarchy (the tuple's row in all but the last) and its group key.
+    * value of every drilled attribute. The siblings are one contiguous
+    * range of matrix rows (the tuple's row in all but the last hierarchy,
+    * the run of its prefix in the last); each comes with its matrix row,
+    * its values of `attrs` and its observed statistics, empty if no group
+    * has them.
     */
-  def candidates(filters: Map[String, String]): Vector[(Vector[Int], Vector[String])] = {
+  def candidates(filters: Map[String, String]): Vector[(Int, Map[String, String], GroupStats)] = {
     def filterOf(a: String): String =
       filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
     val fixedRows = used.init.zipWithIndex.map { case ((d, dep), h) =>
@@ -112,27 +115,47 @@ final class Drilldown(
     }
     val (target, tDepth) = used.last
     val (start, end) = hiers.last.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
-    val fixedKey = fixedRows.indices.flatMap(h => hiers(h).rows(fixedRows(h)))
-    (start until end).toVector.map(r => (fixedRows :+ r, (fixedKey ++ hiers.last.rows(r)).toVector))
-  }
-
-  /** Each group's value of the statistic a `kind` model is trained on. */
-  def targets(kind: StatKind, logTransform: Boolean): Array[Double] = {
-    val raw = kind match {
-      case StatKind.CountStat => stats.map(_.count)
-      case StatKind.MeanStat  => stats.map(_.mean)
-      case StatKind.SumStat   => sums
+    val first = (fixedRows.indices.map(h => fixedRows(h) * strides(h)).sum + start).toInt
+    val observed = Array.fill(end - start)(GroupStats.empty)
+    matrixRows.indices.foreach { g =>
+      val c = matrixRows(g) - first
+      if (c >= 0 && c < observed.length) observed(c) = stats(g)
     }
-    (if (logTransform) raw.map(v => math.log1p(math.max(v, 0.0))) else raw).toArray
+    val fixedKey = fixedRows.indices.flatMap(h => hiers(h).rows(fixedRows(h)))
+    Vector.tabulate(end - start)(c => (first + c, attrs.zip(fixedKey ++ hiers.last.rows(start + c)).toMap, observed(c)))
   }
 
   def features(kind: StatKind, aux: Seq[AuxDataset], cfg: ReptileConfig): Vector[FeatureColumn] =
-    Featurizer.fromGroups(keys, targets(kind, cfg.logTransform), hiers, aux, cfg.minParallel)
+    Featurizer.fromGroups(groupRows, Drilldown.targets(kind, cfg.logTransform, stats, sums)._1, hiers, aux,
+      cfg.minParallel)
+
+  /** A `kind` model's y over the whole matrix (`Reptile.buildY`). */
+  def y(kind: StatKind, logTransform: Boolean): Array[Double] = {
+    val (targets, default) = Drilldown.targets(kind, logTransform, stats, sums)
+    Reptile.buildY(matrixRows, n.toInt, targets, default)
+  }
 }
 
 object Drilldown {
   /** The grouping attributes of hierarchies `used`, in matrix order. */
   def attrsOf(used: Vector[(Dimension, Int)]): Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep) }
+
+  /** The statistic a `kind` model is trained on, per group: its count, its
+    * mean or its sum (`sums(g)`), each log1p'd (of at least 0) when
+    * `logTransform`; and, in the same form, that of a group not observed:
+    * 0 for count and sum, the mean of the group means for mean.
+    */
+  def targets(kind: StatKind, logTransform: Boolean, stats: IndexedSeq[GroupStats],
+              sums: IndexedSeq[Double]): (Array[Double], Double) = {
+    val raw = kind match {
+      case StatKind.CountStat => stats.map(_.count).toArray
+      case StatKind.MeanStat  => stats.map(_.mean).toArray
+      case StatKind.SumStat   => sums.toArray
+    }
+    val empty = if (kind == StatKind.MeanStat && raw.nonEmpty) raw.sum / raw.length else 0.0
+    def xform(v: Double): Double = if (logTransform) math.log1p(math.max(v, 0.0)) else v
+    (raw.map(xform), xform(empty))
+  }
 
   /** Reads merged group buffers: `b`'s keys hold the values of
     * `attrsOf(used)`, of Spark types `types`, written here as
@@ -143,35 +166,61 @@ object Drilldown {
     * attribute; a null measure would make count x mean overstate the
     * group's sum, and a NaN or infinite one would make its statistics NaN,
     * so either is rejected, naming `measure`.
+    *
+    * Each attribute's values get dense codes in `String` order, each value
+    * written once. A hierarchy's rows are then its groups' distinct code
+    * tuples, ranked one attribute at a time, so they come out in the order
+    * `HierRelation.apply` sorts string tuples by.
     */
   private[reptile] def fromBuffers(used: Vector[(Dimension, Int)], b: GroupBuffers, types: Seq[DataType],
                                    measure: String): Drilldown = {
     val attrs = attrsOf(used)
     if (b.groups == 0)
       throw new IllegalArgumentException(s"the fact table has no rows to group by ${attrs.mkString("(", ", ", ")")}")
-    val strings: Seq[(UnsafeRow, Int) => String] = types.map {
-      case StringType => (k: UnsafeRow, i: Int) => k.getUTF8String(i).toString
-      case dt =>
-        val toScala = CatalystTypeConverters.createToScalaConverter(dt)
-        (k: UnsafeRow, i: Int) => toScala(k.get(i, dt)).toString
-    }
-    val groups = (0 until b.groups).toVector
-    val keys = groups.map { g =>
-      val k = b.key(g)
-      val key = Vector.tabulate(attrs.size) { i =>
-        HierRelation.requireValue(!k.isNullAt(i), attrs(i))
-        strings(i)(k, i)
-      }
+    val toScala = types.map(CatalystTypeConverters.createToScalaConverter)
+    val keys = Array.tabulate(b.groups)(b.key)
+    def keyString(g: Int): String =
+      attrs.indices.map(i => toScala(i)(keys(g).get(i, types(i)))).mkString("(", ", ", ")")
+    keys.indices.foreach { g =>
+      attrs.indices.foreach(i => HierRelation.requireValue(!keys(g).isNullAt(i), attrs(i)))
       val nulls = b.rows(g) - b.n(g).toLong
       if (nulls > 0)
-        throw new IllegalArgumentException(s"measure $measure is null in $nulls rows of group " +
-          key.mkString("(", ", ", ")"))
+        throw new IllegalArgumentException(s"measure $measure is null in $nulls rows of group ${keyString(g)}")
       if (!java.lang.Double.isFinite(b.mean(g)))
-        throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group " +
-          key.mkString("(", ", ", ")"))
-      key
+        throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group ${keyString(g)}")
     }
-    new Drilldown(used, keys, groups.map(g => GroupStats(b.rows(g).toDouble, b.mean(g), b.std(g))), groups.map(b.sum))
+    // Per attribute: each group's code and each code's value. Two Spark
+    // values may print alike; they then share a code.
+    val (codes, values) = attrs.indices.map { i =>
+      val seen = new java.util.HashMap[AnyRef, Integer]()
+      val printed = scala.collection.mutable.ArrayBuffer.empty[String]
+      val local = keys.map(k => seen.computeIfAbsent(k.get(i, types(i)), v => {
+        printed += toScala(i)(v).toString
+        printed.size - 1
+      }).intValue)
+      val sorted = printed.distinct.sorted.toArray
+      val rank = printed.map(sorted.search(_).insertionPoint)
+      (local.map(rank), sorted)
+    }.unzip
+    val offsets = used.scanLeft(0)(_ + _._2)
+    val (hiers, groupRows) = used.indices.map { h =>
+      val (d, dep) = used(h)
+      val cols = offsets(h) until offsets(h + 1)
+      // Rank each group's prefix of the first j attributes among the
+      // distinct prefixes, for j = 1 .. dep: (rank, code) pairs sort as
+      // the prefixes extended by one attribute do.
+      val row = cols.tail.foldLeft(codes(cols.head)) { (prefix, i) =>
+        val pair = Array.tabulate(prefix.length)(g => prefix(g).toLong * values(i).length + codes(i)(g))
+        val ranked = pair.distinct.sorted
+        pair.map(java.util.Arrays.binarySearch(ranked, _))
+      }
+      val carrier = new Array[Int](row.max + 1)
+      row.indices.foreach(g => carrier(row(g)) = g)
+      val tuples = Vector.tabulate(carrier.length)(r => cols.map(i => values(i)(codes(i)(carrier(r)))).toVector)
+      (new HierRelation(d.name, d.attrs.take(dep), tuples), row)
+    }.unzip
+    new Drilldown(used, hiers.toVector, groupRows.toVector,
+      keys.indices.map(g => GroupStats(b.rows(g).toDouble, b.mean(g), b.std(g))).toVector, Array.tabulate(b.groups)(b.sum))
   }
 }
 
@@ -429,7 +478,6 @@ object Reptile {
       cfg: ReptileConfig,
   ): DimRankResult = {
     val (target, tDepth) = dd.used.last
-    val hiers = dd.hiers
     val kinds: Seq[StatKind] = complaint.agg match {
       case AggType.Count => Seq(StatKind.CountStat)
       case AggType.Mean  => Seq(StatKind.MeanStat)
@@ -441,33 +489,23 @@ object Reptile {
     val groups = dd.candidates(filters)
 
     // One model per statistic kind, all over the same hierarchies.
-    val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
-      val fm = new FactorizedMatrix(hiers, dd.features(kind, aux, cfg))
-      val y = buildY(fm, hiers, dd.attrs, dd.observed, kind, cfg)
-      kind -> (fm, predictions(fm, y, cfg))
+    val perKind: Map[StatKind, Array[Double]] = kinds.map { kind =>
+      kind -> predictions(new FactorizedMatrix(dd.hiers, dd.features(kind, aux, cfg)), dd.y(kind, cfg.logTransform), cfg)
     }.toMap
 
-    val fm0 = perKind(kinds.head)._1
-    val candidates = groups.map { case (rowIdxs, key) =>
-      val idx = fm0.indexOf(rowIdxs)
-      val obs = dd.observed.getOrElse(key, GroupStats.empty)
-      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)._2(idx)).toMap
-      (dd.attrs.zip(key).toMap, obs, repair(obs, preds, kinds), preds)
-    }
-
-    val obsAll = candidates.map(_._2)
+    val obsAll = groups.map(_._3)
     val baselineScore = complaint.score(GroupStats.combine(obsAll))
-    val primary = kinds.head
-    val scored = candidates.zipWithIndex.map { case ((values, obs, rep, preds), ci) =>
-      val combined = GroupStats.combine(obsAll.updated(ci, rep))
+    val scored = groups.zipWithIndex.map { case ((row, values, obs), ci) =>
+      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)(row)).toMap
+      val rep = repair(obs, preds, kinds)
       val residual =
         if (kinds.size == 2) obs.sum - preds("count") * preds("mean") // SUM via count x mean
-        else primary match {
+        else kinds.head match {
           case StatKind.CountStat => obs.count - preds("count")
           case StatKind.MeanStat  => obs.mean - preds("mean")
           case StatKind.SumStat   => obs.sum - preds("sum")
         }
-      Candidate(values, obs, rep, preds, complaint.score(combined), residual)
+      Candidate(values, obs, rep, preds, complaint.score(GroupStats.combine(obsAll.updated(ci, rep))), residual)
     }
     DimRankResult(target.name, target.attrs(tDepth - 1), scored, baselineScore)
   }
@@ -475,10 +513,22 @@ object Reptile {
   // ------------------------------------------------------------ internals
 
   /** y over the full cartesian product of parallel groups (the paper's
-    * worst case, Section 5.1.4: even empty groups participate). Empty
-    * groups default to 0 for count/sum and to the global mean for mean.
+    * worst case, Section 5.1.4: even empty groups participate): `n` rows
+    * of `default`, and `targets(g)` at group g's matrix row `rows(g)`.
     * Fails with an IllegalArgumentException, before allocating, when y and
     * its prediction vectors cannot fit in the heap (`requireHeapFor`).
+    */
+  def buildY(rows: Array[Int], n: Int, targets: Array[Double], default: Double): Array[Double] = {
+    requireHeapFor(n)
+    val y = new Array[Double](n)
+    java.util.Arrays.fill(y, default)
+    rows.indices.foreach(g => y(rows(g)) = targets(g))
+    y
+  }
+
+  /** `buildY` over string-keyed groups: `observed` maps each group's values
+    * of `allAttrs` (the attributes of `hiers`, in order) to its statistics;
+    * a sum is `count x mean`.
     */
   def buildY(
       fm: FactorizedMatrix,
@@ -488,29 +538,11 @@ object Reptile {
       kind: StatKind,
       cfg: ReptileConfig,
   ): Array[Double] = {
-    val stat: GroupStats => Double = kind match {
-      case StatKind.CountStat => _.count
-      case StatKind.MeanStat  => _.mean
-      case StatKind.SumStat   => _.sum
-    }
-    val xform: Double => Double = if (cfg.logTransform) v => math.log1p(math.max(v, 0.0)) else identity
-    val default = kind match {
-      case StatKind.MeanStat =>
-        if (observed.isEmpty) 0.0
-        else xform(observed.values.map(_.mean).sum / observed.size)
-      case _ => xform(0.0)
-    }
-    requireHeapFor(fm.n)
-    val y = Array.fill(fm.n)(default)
-    // Attribute offsets of each hierarchy inside the flat key.
-    val offsets = hiers.scanLeft(0)((acc, h) => acc + h.depth)
-    observed.foreach { case (key, gs) =>
-      val rowIdxs = hiers.indices.map { h =>
-        hiers(h).rowIndexOf(key.slice(offsets(h), offsets(h + 1)))
-      }
-      y(fm.indexOf(rowIdxs)) = xform(stat(gs))
-    }
-    y
+    val offsets = hiers.scanLeft(0)(_ + _.depth)
+    val (keys, stats) = observed.toVector.unzip
+    val rows = keys.map(k => fm.indexOf(hiers.indices.map(h => hiers(h).rowIndexOf(k.slice(offsets(h), offsets(h + 1))))))
+    val (targets, default) = Drilldown.targets(kind, cfg.logTransform, stats, stats.map(_.sum))
+    buildY(rows.toArray, fm.n, targets, default)
   }
 
   /** n-length double vectors a model holds at once: y, and while predicting

@@ -29,7 +29,7 @@ object AicExp {
     def aicFor(useAux: Boolean, multiLevel: Boolean): Double = {
       val fm = new FactorizedMatrix(dd.hiers, dd.features(StatKind.MeanStat, if (useAux) Seq(aux) else Nil, cfg))
       val bk = new FactorizedBackend(fm)
-      val y = Reptile.buildY(fm, dd.hiers, dd.attrs, dd.observed, StatKind.MeanStat, cfg)
+      val y = dd.y(StatKind.MeanStat, cfg.logTransform)
       if (multiLevel) {
         // random intercept + (if present) random slope on the aux feature
         val re = fm.cols.zipWithIndex.collect {

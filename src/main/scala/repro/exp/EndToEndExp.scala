@@ -58,7 +58,7 @@ object EndToEndExp {
 
     setup.drillOrder.zipWithIndex.foreach { case (targetName, inv) =>
       val used = Reptile.drilldownOf(setup.dims, drilled, targetName)
-      val (target, tDepth) = used.last
+      val tDepth = used.last._2
 
       // ---- shared Spark side: statistics (one job), hierarchies, features ----
       val ((dd, fcols), sparkMs) = Timing.ms {
@@ -71,7 +71,7 @@ object EndToEndExp {
       // y assembly is shared input preparation (both pipelines need it);
       // the timed sections cover only representation-dependent work.
       val (fm, fmBuildMs) = Timing.ms(new FactorizedMatrix(hiers, fcols))
-      val y = Reptile.buildY(fm, hiers, dd.attrs, dd.observed, StatKind.CountStat, cfg)
+      val y = dd.y(StatKind.CountStat, cfg.logTransform)
       // Each pipeline runs twice, interleaved (Reptile, Matlab, Reptile,
       // Matlab) with a GC before every run, and keeps its faster run: heap
       // pressure from the surrounding Spark jobs, JIT compilation of the
@@ -97,11 +97,9 @@ object EndToEndExp {
 
       // ---- drill: fix the target's new attribute to a concrete group ----
       // deterministic stand-in for the paper's "return a random group":
-      // the candidate with the largest observed count (always non-empty).
-      val (_, bestKey) = dd.candidates(filters).maxBy { case (_, key) =>
-        dd.observed.getOrElse(key, GroupStats.empty).count
-      }
-      filters += (target.attrs(tDepth - 1) -> bestKey.last)
+      // the candidate with the largest observed count (always non-empty),
+      // whose values are the filters plus the new attribute's.
+      filters = dd.candidates(filters).maxBy(_._3.count)._2
       drilled += (targetName -> tDepth)
     }
     fact.unpersist()

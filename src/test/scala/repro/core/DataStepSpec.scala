@@ -58,10 +58,11 @@ class DataStepSpec extends SparkSpec {
         (r.getAs[Double]("stat_count"), r.getAs[Double]("stat_mean"), r.getAs[Double]("stat_std"),
           r.getAs[Double]("stat_sum"))
     }.toMap
-    assert(dd.keys.toSet == expected.keySet && dd.keys.size == expected.size, dd.attrs)
+    val keys = dd.stats.indices.map(g => dd.hiers.indices.flatMap(h => dd.hiers(h).rows(dd.groupRows(h)(g))).toVector)
+    assert(keys.toSet == expected.keySet && keys.size == expected.size, dd.attrs)
     var whole, split = 0
-    dd.keys.indices.foreach { g =>
-      val key = dd.keys(g)
+    keys.indices.foreach { g =>
+      val key = keys(g)
       val (count, mean, std, sum) = expected(key)
       assert(dd.stats(g).count == count, key)
       val got = Seq("mean" -> (dd.stats(g).mean, mean), "std" -> (dd.stats(g).std, std), "sum" -> (dd.sums(g), sum))

@@ -118,7 +118,10 @@ class FactorizedMatrixSpec extends SparkSpec {
     val fm = randomMatrix(5)
     val lastHier = fm.hiers.last
     fm.clusterRanges.foreach { case (s, l) =>
-      val tuples = (s until s + l).map(fm.tupleOf)
+      val tuples = (s until s + l).map { i =>
+        val c = fm.coords(i)
+        fm.hiers.indices.flatMap(h => fm.hiers(h).rows(c(h))).toVector
+      }
       val prefixLen = tuples.head.size - 1
       assert(tuples.map(_.take(prefixLen)).distinct.size == 1 || lastHier.depth == 1)
     }

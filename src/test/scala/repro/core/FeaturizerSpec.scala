@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{Oracle, SparkSpec}
 import repro.core.frep.HierRelation
-import repro.core.reptile.{AuxDataset, Dimension, Featurizer, Reptile, ReptileConfig, StatKind}
+import repro.core.reptile.{AuxDataset, Dimension, Drilldown, Featurizer, Reptile, ReptileConfig, StatKind}
 import org.apache.spark.sql.functions._
 import scala.util.Random
 
@@ -19,6 +19,10 @@ class FeaturizerSpec extends SparkSpec {
     HierRelation.fromDataFrame(fact, "time", Seq("t")),
     HierRelation.fromDataFrame(fact, "geo", Seq("d", "v")),
   )
+
+  /** Group g's values of the drill-down's attributes. */
+  private def keyOf(dd: Drilldown, g: Int): Vector[String] =
+    dd.hiers.indices.flatMap(h => dd.hiers(h).rows(dd.groupRows(h)(g))).toVector
 
   private lazy val statsDf =
     Reptile.drilldownStats(fact, Seq("t", "d", "v"), "measure")
@@ -39,7 +43,7 @@ class FeaturizerSpec extends SparkSpec {
     val geo = Dimension("geo", Vector("d", "v"))
     val useds = Vector(Vector((time, 1), (geo, 1)), Vector((geo, 2)), Vector((geo, 1), (time, 1)), Vector((time, 1), (geo, 2)))
     Reptile.collectDrilldowns(fact, useds, "measure").foreach { dd =>
-      val rows = dd.keys.indices.map(i => (dd.keys(i), dd.stats(i).count, dd.stats(i).mean, dd.sums(i)))
+      val rows = dd.stats.indices.map(i => (keyOf(dd, i), dd.stats(i).count, dd.stats(i).mean, dd.sums(i)))
       val got = rows.toDF("key", "stat_count", "stat_mean", "stat_sum")
         .select(dd.attrs.indices.map(i => $"key"(i).as(dd.attrs(i))) ++
           Seq($"stat_count", $"stat_mean", $"stat_sum"): _*)
@@ -129,7 +133,7 @@ class FeaturizerSpec extends SparkSpec {
     val used = Vector((Dimension("time", Vector("t")), 1), (Dimension("geo", Vector("d", "v")), 2))
     val dd = Reptile.collectDrilldown(randFact, used, "measure")
     val stats = Reptile.drilldownStats(randFact, Seq("t", "d", "v"), "measure")
-    val parities = dd.keys.groupBy(_(0)).values.map(_.size % 2).toSet
+    val parities = dd.stats.indices.map(keyOf(dd, _)).groupBy(_(0)).values.map(_.size % 2).toSet
     assert(parities == Set(0, 1), "need attribute values with odd and even group counts")
     for (log <- Seq(false, true); kind <- Seq(StatKind.CountStat, StatKind.MeanStat, StatKind.SumStat)) {
       val cols = dd.features(kind, Nil, ReptileConfig(logTransform = log))

@@ -173,20 +173,35 @@ class HierRelationSpec extends SparkSpec {
     import spark.implicits._
     val day = java.sql.Date.valueOf(_: String)
     val at = java.sql.Timestamp.valueOf(_: String)
+    // Orders that differ from String's: "\uff61" sorts before "\ud83d\ude00"
+    // in UTF-8 bytes and after it in String order; 9 < 10 as numbers, but
+    // "10" < "9".
     val df = Seq(
-      (1, 1L << 40, 1.5, true, day("2020-03-01"), at("2020-03-01 10:00:00"), 1.0),
-      (1, 1L << 40, 1e20, false, day("1999-12-31"), at("1999-12-31 23:59:59.5"), 2.0),
-      (-7, -3L, 0.1, true, day("2020-03-01"), at("2020-03-01 10:00:00"), 3.0),
-      (42, 0L, -0.0, false, day("1970-01-01"), at("1970-01-01 00:00:00"), 4.0),
-      (42, 0L, 0.0, true, day("2020-02-29"), at("2020-02-29 12:30:00"), 5.0),
-    ).toDF("i", "l", "d", "b", "day", "ts", "v")
-    val attrs = Vector("i", "l", "d", "b", "day", "ts")
+      (1, 1L << 40, 1.5, true, day("2020-03-01"), at("2020-03-01 10:00:00"), "\uff61", 1.0),
+      (1, 1L << 40, 1e20, false, day("1999-12-31"), at("1999-12-31 23:59:59.5"), "\ud83d\ude00", 2.0),
+      (-7, -3L, 0.1, true, day("2020-03-01"), at("2020-03-01 10:00:00"), "a", 3.0),
+      (42, 0L, -0.0, false, day("1970-01-01"), at("1970-01-01 00:00:00"), "\uff61", 4.0),
+      (42, 0L, 0.0, true, day("2020-02-29"), at("2020-02-29 12:30:00"), "\ud83d\ude00", 5.0),
+      (9, 5L, 2.5, true, day("2020-03-01"), at("2020-03-01 10:00:00"), "Z", 6.0),
+      (10, 5L, 2.5, true, day("2020-03-01"), at("2020-03-01 10:00:00"), "\ud83d\ude00", 7.0),
+    ).toDF("i", "l", "d", "b", "day", "ts", "s", "v")
+    val attrs = Vector("i", "l", "d", "b", "day", "ts", "s")
     val used = attrs.map(a => (Dimension(a, Vector(a)), 1))
-    val hiers = Reptile.collectDrilldown(df, used, "v").hiers
+    val dd = Reptile.collectDrilldown(df, used, "v")
+    val hiers = dd.hiers
     attrs.zip(hiers).foreach { case (a, h) =>
       assert(h.rows == HierRelation.fromDataFrame(df, a, Seq(a)).rows, a)
     }
     assert(hiers(2).rows.flatten.count(_ == "0.0") == 1 && !hiers(2).rows.flatten.contains("-0.0"))
+    // Every group is one fact row with its own measure, so a group whose
+    // hierarchy rows point at another group's values gets that group's sum.
+    val sumOf = Reptile.drilldownStats(df, attrs, "v").collect()
+      .map(r => attrs.indices.map(i => r.get(i).toString).toVector -> r.getAs[Double]("stat_sum")).toMap
+    assert(dd.stats.size == 7 && sumOf.size == 7)
+    dd.stats.indices.foreach { g =>
+      val key = hiers.indices.flatMap(h => hiers(h).rows(dd.groupRows(h)(g))).toVector
+      assert(sumOf.get(key).contains(dd.sums(g)), s"group $g: $key has sum ${dd.sums(g)}")
+    }
   }
 
   test("relations projected from statistic keys fail on an FD violation like fromDataFrame") {

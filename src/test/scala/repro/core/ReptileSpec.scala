@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.SparkSpec
-import repro.core.frep.Seg
+import repro.core.frep.{HierRelation, Seg}
 import repro.core.reptile._
 import scala.jdk.CollectionConverters._
 import scala.util.Random
@@ -346,8 +346,10 @@ class ReptileSpec extends SparkSpec {
     // Three 1,200-row hierarchies: n = 1,200^3 ~ 1.7e9 rows, ~55 GB of
     // n-length vectors. The groups are only the 1,200 diagonal cells.
     val dims3 = Vector("a", "b", "c").map(a => Dimension(a, Vector(a)))
-    val keys = (0 until 1200).map(k => Vector(f"a$k%04d", f"b$k%04d", f"c$k%04d")).toVector
-    val dd = new Drilldown(dims3.map(_ -> 1), keys, keys.map(_ => GroupStats(1.0, 2.0, 0.0)), keys.map(_ => 2.0))
+    val hiers = dims3.map(d => HierRelation(d.name, d.attrs, (0 until 1200).map(k => Seq(f"${d.name}$k%04d"))))
+    val diagonal = Vector.fill(3)(Array.range(0, 1200))
+    val dd = new Drilldown(dims3.map(_ -> 1), hiers, diagonal, Vector.fill(1200)(GroupStats(1.0, 2.0, 0.0)),
+      Array.fill(1200)(2.0))
     val ex = intercept[IllegalArgumentException] {
       Reptile.rankDrilldown(dd, Map("a" -> "a0000", "b" -> "b0000"), Complaint(AggType.Mean, Direction.TooHigh), Nil, cfg)
     }

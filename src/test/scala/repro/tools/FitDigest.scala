@@ -8,7 +8,7 @@ import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
 import repro.core.model.{DenseBackend, FactorizedBackend, MLBackend, MultiLevelEM}
 import repro.core.reptile._
-import repro.synth.CovidSynth
+import repro.synth.{CovidSynth, DatasetSynth}
 import scala.util.Random
 
 /** Writes the bits of EM fits and of the COVID rankings to a file, so that
@@ -26,7 +26,9 @@ import scala.util.Random
   * Each prints beta, Sigma, sigma2 and the escalation count in hex, and the
   * length and SHA-256 of the bits of `bs` and of the predictions. Then
   * every candidate's score, residual and predictions in the 16 US COVID
-  * rankings (CovidExp's configuration).
+  * rankings (CovidExp's configuration), and in a COUNT and a MEAN ranking
+  * on MetamorphicSpec's COMPAS-like fixture (the default configuration at
+  * 12 EM iterations, every column random).
   *
   * `--time k` also fits each factorised model k more times and prints the
   * median fit time to stdout; the file is unchanged.
@@ -116,13 +118,26 @@ object FitDigest {
         val fact = CovidSynth.corruptedUs(spark, issue, 42)
         val res = Reptile.rankDim(spark, fact, dims, Map("time" -> 1), Map("day" -> CovidSynth.dayKey(issue.day)),
           Complaint(AggType.Sum, issue.dir), "value", "geo", Nil, cfg)
-        out.println(s"== covid ${issue.id} best ${res.best.values("state")} baseline ${hex(res.baselineScore)}")
-        res.candidates.foreach { c =>
-          val preds = c.predicted.toSeq.sorted.map { case (k, v) => s"$k=${hex(v)}" }.mkString(" ")
-          out.println(s"${c.values("state")} score ${hex(c.score)} residual ${hex(c.residual)} $preds")
-        }
+        ranking(out, s"covid ${issue.id}", "state", res)
+      }
+      val compas = DatasetSynth.compasLike(spark, rows = 4000, seed = 31)
+      val compasDims = Vector(Dimension("time", Vector("year", "month", "day")), Dimension("age", Vector("age")),
+        Dimension("race", Vector("race")))
+      for (agg <- Seq(AggType.Count, AggType.Mean)) {
+        val res = Reptile.rankDim(spark, compas, compasDims, Map("time" -> 2, "age" -> 1),
+          Map("year" -> "y1", "month" -> "y1-m03", "age" -> "a1"), Complaint(agg, Direction.TooHigh), "v", "race",
+          Nil, ReptileConfig(emIters = 12))
+        ranking(out, s"compas ${agg.name}", "race", res)
       }
     } finally spark.stop()
+  }
+
+  private def ranking(out: PrintWriter, what: String, attr: String, res: DimRankResult): Unit = {
+    out.println(s"== $what best ${res.best.values(attr)} baseline ${hex(res.baselineScore)}")
+    res.candidates.foreach { c =>
+      val preds = c.predicted.toSeq.sorted.map { case (k, v) => s"$k=${hex(v)}" }.mkString(" ")
+      out.println(s"${c.values(attr)} score ${hex(c.score)} residual ${hex(c.residual)} $preds")
+    }
   }
 
   private def hex(d: Double): String = f"${java.lang.Double.doubleToRawLongBits(d)}%016x"
