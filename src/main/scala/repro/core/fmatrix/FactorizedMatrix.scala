@@ -363,20 +363,6 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     out
   }
 
-  /** Materializes cluster i as a dense len x m matrix (AIC / tests). */
-  def clusterMat(i: Int): Mat = {
-    val (start, len) = clusterRanges(i)
-    val out = Mat.zeros(len, m)
-    var r = 0
-    while (r < len) {
-      val row = rowOf(start + r)
-      var j = 0
-      while (j < m) { out(r, j) = row(j); j += 1 }
-      r += 1
-    }
-    out
-  }
-
   // -------------------------------------------------------------- helpers
 
   /** The per-hierarchy row indices making up global row `idx`. */

@@ -11,8 +11,9 @@ import repro.core.linalg.Mat
   *
   * The EM reads the cluster grams as `blockGrams` and takes y's
   * statistics with one `xtv` and one `clusterXtv` per fit; `xv` and
-  * `clusterXa` serve predictions. Per-cluster vectors are flat, m per
-  * cluster: cluster i's is `(i*m until (i+1)*m)`.
+  * `clusterXa` serve predictions; the log-likelihood reads `blockGrams`,
+  * `clusterXtv` and `xv`. Per-cluster vectors are flat, m per cluster:
+  * cluster i's is `(i*m until (i+1)*m)`.
   */
 trait MLBackend {
   def n: Int
@@ -21,7 +22,6 @@ trait MLBackend {
   def xv(a: Array[Double]): Array[Double]
   def xtv(v: Array[Double]): Array[Double]
   def numClusters: Int
-  def clusterRanges: Array[(Int, Int)]
   def blockGrams: BlockGrams
   def clusterXtv(v: Array[Double]): Array[Double]
   def clusterXa(as: Array[Double]): Array[Double]
@@ -29,7 +29,6 @@ trait MLBackend {
     require(as.length == numClusters, "clusterXa cluster count mismatch")
     clusterXa(Mat.concat(as))
   }
-  def clusterMat(i: Int): Mat
 
   /** Streams X_i^T X_i for every cluster i, one dense m x m matrix at a
     * time (Figure 15, tests), expanded from `blockGrams`:
@@ -68,11 +67,9 @@ final class FactorizedBackend(val fm: FactorizedMatrix) extends MLBackend {
   def xv(a: Array[Double]): Array[Double] = fm.xv(a)
   def xtv(v: Array[Double]): Array[Double] = fm.xtv(v)
   def numClusters: Int = fm.numClusters
-  def clusterRanges: Array[(Int, Int)] = fm.clusterRanges
   def blockGrams: BlockGrams = fm.blockGrams
   def clusterXtv(v: Array[Double]): Array[Double] = fm.clusterXtv(v)
   def clusterXa(as: Array[Double]): Array[Double] = fm.clusterXa(as)
-  def clusterMat(i: Int): Mat = fm.clusterMat(i)
 }
 
 /** Naive backend over a fully materialized matrix — the "Matlab over
@@ -87,7 +84,8 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
   def xtv(v: Array[Double]): Array[Double] = x.tmv(v)
   def numClusters: Int = clusterRanges.length
 
-  def clusterMat(i: Int): Mat = {
+  /** Cluster i's rows of X. */
+  private def slice(i: Int): Mat = {
     val (s, l) = clusterRanges(i)
     val out = Mat.zeros(l, m)
     var r = 0
@@ -100,7 +98,7 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
     * pipeline does.
     */
   def blockGrams: BlockGrams = {
-    val d = Array.tabulate(numClusters) { i => val xi = clusterMat(i); (xi.t * xi).a }
+    val d = Array.tabulate(numClusters) { i => val xi = slice(i); (xi.t * xi).a }
     BlockGrams(Array.range(0, numClusters), d, Array.empty, clusterRanges.map(_._2), Array.emptyDoubleArray)
   }
 

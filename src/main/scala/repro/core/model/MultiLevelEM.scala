@@ -112,41 +112,29 @@ object MultiLevelEM {
     add(fixed, bk.clusterXa(padded))
   }
 
-  /** Marginal Gaussian log-likelihood: per cluster,
-    * y_i ~ N(X_i beta, Z_i Sigma Z_i^T + sigma2 I). Used for AIC.
+  /** Marginal Gaussian log-likelihood, y_i ~ N(X_i beta, Z_i Sigma Z_i^T +
+    * sigma2 I), from one E-step sweep at the fit's parameters and `ridge`
+    * (DESIGN.md, "Factorised E-step"). With W_i and P_b as in BlockEStep,
+    * lnL = -1/2 [n log(2 pi sigma2) + sum_i (log det W_i - log det P_b)
+    *   + (|y - X beta|^2 - sum_i mu_i^T Z_i^T r_i) / sigma2]. Used for AIC.
     */
-  def logLikelihood(bk: MLBackend, y: Array[Double], fit: MultiLevelFit): Double = {
-    var ll = 0.0
-    var i = 0
-    while (i < bk.numClusters) {
-      val (s, l) = bk.clusterRanges(i)
-      val xi = bk.clusterMat(i)
-      val zi = subcolumns(xi, fit.reCols)
-      val v = (zi * fit.sigma) * zi.t + (Mat.eye(l) * fit.sigma2)
-      val mu = xi.mv(fit.beta)
-      val r = Array.tabulate(l)(k => y(s + k) - mu(k))
-      val vinv = Mat.ridgeInverse(v, 1e-10)
-      val quad = Mat.dot(r, vinv.mv(r))
-      ll += -0.5 * (l * math.log(2 * math.Pi) + Mat.logDet(v) + quad)
-      i += 1
-    }
-    ll
+  def logLikelihood(bk: MLBackend, y: Array[Double], fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
+    require(y.length == bk.n, s"y length ${y.length} != n ${bk.n}")
+    val sigmaInv = Mat.ridgeInverse(fit.sigma, ridge)
+    val est = new BlockEStep(bk.blockGrams, bk.m, fit.reCols, ridge, logDets = true)
+    est.run(bk.clusterXtv(y), fit.beta, fit.sigma2, sigmaInv.a, new Array[Double](bk.numClusters * fit.reCols.length))
+    val rr = sqDist(y, bk.xv(fit.beta))
+    -0.5 * (bk.n * math.log(2 * math.Pi * fit.sigma2) + est.logDetWP + (rr - est.muXtr) / fit.sigma2)
   }
 
   /** AIC = 2k - 2 lnL; k = fixed effects + Sigma parameters + sigma2. */
-  def aic(bk: MLBackend, y: Array[Double], fit: MultiLevelFit): Double = {
+  def aic(bk: MLBackend, y: Array[Double], fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
     val s = fit.reCols.length
     val k = bk.m + s * (s + 1) / 2 + 1
-    2.0 * k - 2.0 * logLikelihood(bk, y, fit)
+    2.0 * k - 2.0 * logLikelihood(bk, y, fit, ridge)
   }
 
   // ------------------------------------------------------------- helpers
-  private def subcolumns(mt: Mat, idx: Array[Int]): Mat = {
-    val out = Mat.zeros(mt.rows, idx.length)
-    var i = 0
-    while (i < mt.rows) { var j = 0; while (j < idx.length) { out(i, j) = mt(i, idx(j)); j += 1 }; i += 1 }
-    out
-  }
   /** Scatters the flat per-cluster s-vectors `bs` into the flat per-cluster
     * m-vectors `out` at columns `idx`; the other entries are left as they are.
     */
@@ -276,6 +264,12 @@ private object Chunks {
   *  - G_i b~_i is u_i (len_b u_i^T b~_i + s_b^T b~_i) per cluster, plus
   *    D_b sum_{i in b} b~_i + s_b sum_{i in b} u_i^T b~_i per block.
   *
+  * With `logDets` (the log-likelihood; a fit's sweeps leave it off) the
+  * sweep also sums log det W_i - log det P_b, P_b = Sigma^{-1} + lambda_b I.
+  * By the determinant lemma, with det(C_b / sigma2) = -1 / sigma2^2, a
+  * cluster of a rank-2 block has log det W_i = log det A_b + log(-det K) -
+  * 2 log sigma2, others log det A_b; log det A_b and log det P_b are per block.
+  *
   * `run` is one block loop (A_b^{-1}, t_b, D_b beta, s_b^T beta), one
   * cluster loop and one block loop (S, the trace, X^T Z b's block terms),
   * each in Chunks. The per-block and per-cluster steps are methods of their
@@ -283,7 +277,7 @@ private object Chunks {
   * waiting for an on-stack replacement of the loops; buffers are reused
   * across calls.
   */
-private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double) {
+private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double, logDets: Boolean = false) {
   private val s = re.length
   private val ss = s * s
   private val nb = bg.numBlocks
@@ -323,6 +317,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   private val qB = new Array[Double](r2)
   private val bSum = new Array[Double](nb * s)
   private val ubSum = new Array[Double](r2)
+  private val logDetAP = new Array[Double](if (logDets) nb else 0) // log det A_b - log det P_b
   /** Block inverses so far that needed more than the base ridge. */
   var escalations = 0
   /** After `run`: sum_i (V_i + mu_i mu_i^T). */
@@ -331,6 +326,10 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   val xtzb = new Array[Double](m)
   /** After `run`: sum_i b~_i^T X_i^T y_i. */
   var bty = 0.0
+  /** After `run`: sum_i mu_i^T Z_i^T r_i. */
+  var muXtr = 0.0
+  /** After `run` with `logDets`: sum_i (log det W_i - log det P_b). */
+  var logDetWP = 0.0
   private val chunks = new Chunks(bg)
 
   /** A chunk's partial sums and scratch. Chunk 0 adds into the totals, and
@@ -348,6 +347,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
     var by = 0.0    // sum_i b~_i^T X_i^T y_i
     var tr = 0.0
+    var logDetK = 0.0 // sum_i log(-det K), with `logDets`
     var escalations = 0
     val wBuf = new Array[Double](ss)
     val invBuf = new Array[Double](ss)
@@ -358,9 +358,9 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   private val parts = Array.tabulate(chunks.count)(new Part(_))
 
   /** One sweep at the fixed effects `beta`: writes every cluster's
-    * posterior mean into `mu` (flat, s per cluster), fills `sigAcc`, `xtzb`
-    * and `bty`, and returns sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xiy` holds
-    * X_i^T y_i, m per cluster.
+    * posterior mean into `mu` (flat, s per cluster), fills `sigAcc`, `xtzb`,
+    * `bty`, `muXtr` (and `logDetWP`), and returns
+    * sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xiy` holds X_i^T y_i, m per cluster.
     */
   def run(xiy: Array[Double], beta: Array[Double], sigma2: Double, sigmaInv: Array[Double],
           mu: Array[Double]): Double = {
@@ -377,10 +377,11 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       if (c > 0) zero(p.xtzb)
       p.muXtr = 0.0
       p.by = 0.0
+      p.logDetK = 0.0
       var i = from
       while (i < until) { cluster(i, xiy, beta, sigma2, mu, p); i += 1 }
     }
-    var muXtr = parts(0).muXtr
+    muXtr = parts(0).muXtr
     var by = parts(0).by
     var c = 1
     while (c < chunks.count) {
@@ -395,6 +396,13 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       c += 1
     }
     bty = by
+    if (logDets) {
+      var ld = if (rank2) -2.0 * blockOf.length * math.log(sigma2) else 0.0
+      parts.foreach(ld += _.logDetK)
+      var b = 0
+      while (b < nb) { ld += cnt(b) * logDetAP(b); b += 1 }
+      logDetWP = ld
+    }
     zero(sigAcc)
     chunks.blocks { (c, from, until) =>
       val p = parts(c)
@@ -480,6 +488,8 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     if (attempt > 1) p.escalations += 1
     System.arraycopy(invBuf, 0, aInv, off, ss)
     lambda(b) = lam
+    if (logDets)
+      logDetAP(b) = -Mat.logDet(new Mat(s, s, invBuf)) - Mat.logDet(Mat.eye(s) * lam + new Mat(s, s, sigmaInv))
     if (rank2) {
       var st = 0.0
       var j = 0
@@ -564,6 +574,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       val k12 = sigma2 + ut
       val k22 = stb(b) - len(b) * sigma2
       val det = k11 * k22 - k12 * k12
+      if (logDets) p.logDetK += math.log(-det)
       i11 = k22 / det
       val i12 = -k12 / det; val i22 = k11 / det
       val c1 = i11 * pa + i12 * q

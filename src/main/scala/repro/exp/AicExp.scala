@@ -35,7 +35,7 @@ object AicExp {
         val re = fm.cols.zipWithIndex.collect {
           case (c, i) if c.label == "intercept" || c.label.startsWith("aux:") => i
         }.toArray
-        MultiLevelEM.aic(bk, y, MultiLevelEM.fit(bk, y, emIters, cfg.ridge, Some(re)))
+        MultiLevelEM.aic(bk, y, MultiLevelEM.fit(bk, y, emIters, cfg.ridge, Some(re)), cfg.ridge)
       } else LinearModel.aic(bk, y, LinearModel.fit(bk, y, cfg.ridge))
     }
 

@@ -204,16 +204,6 @@ class FactorizedMatrixSpec extends SparkSpec {
     }
   }
 
-  test("clusterMat slices match the materialized matrix") {
-    val fm = randomMatrix(8)
-    val x = fm.materialize
-    for (i <- 0 until math.min(fm.numClusters, 10)) {
-      val (s, l) = fm.clusterRanges(i)
-      val cm = fm.clusterMat(i)
-      for (r <- 0 until l; j <- 0 until fm.m) assert(cm(r, j) == x(s + r, j))
-    }
-  }
-
   test("gram of the Figure 3 example has the expected redundancy structure") {
     // Two times, geo = district -> village as in the paper's Figure 3.
     val time = HierRelation("time", Seq("t"), Seq(Seq("t1"), Seq("t2")))

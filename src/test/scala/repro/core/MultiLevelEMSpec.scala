@@ -30,7 +30,41 @@ class MultiLevelEMSpec extends SparkSpec {
     new FactorizedMatrix(Vector(time, geo), cols ++ extra)
   }
 
+  /** time(t) x store(region -> store) x product(category -> product):
+    * clusters = (t, store, category), one parent block per category, of 2,
+    * 3 and 4 products; every attribute has a column, `f:product` (5) varies.
+    */
+  private def threeHierarchies(seed: Long): FactorizedMatrix = {
+    val rng = new Random(seed)
+    val time = HierRelation("time", Seq("t"), (0 until 3).map(t => Seq(s"t$t")))
+    val store = HierRelation("store", Seq("region", "store"),
+      for { r <- 0 until 2; st <- 0 until 2 } yield Seq(s"r$r", s"r$r-s$st"))
+    val product = HierRelation("product", Seq("category", "product"),
+      for { c <- 0 until 3; p <- 0 until 2 + c } yield Seq(s"c$c", s"c$c-p$p"))
+    val fmap = scala.collection.mutable.HashMap.empty[String, Double]
+    def feat(v: String): Double = fmap.getOrElseUpdate(v, rng.nextGaussian())
+    val hiers = Vector(time, store, product)
+    new FactorizedMatrix(hiers, FeatureColumn.Intercept +:
+      (for (h <- hiers.indices; a <- 0 until hiers(h).depth) yield FeatureColumn(s"f:${hiers(h).attrs(a)}", h, a, feat))
+        .toVector)
+  }
+
   private def dense(fm: FactorizedMatrix) = new DenseBackend(fm.materialize, fm.clusterRanges)
+
+  /** The marginal log-likelihood cluster by cluster over slices of the
+    * materialized matrix: y_i ~ N(X_i beta, V_i), V_i = Z_i Sigma Z_i^T +
+    * sigma2 I, factored and inverted outright.
+    */
+  private def denseLogLikelihood(fm: FactorizedMatrix, y: Array[Double], fit: MultiLevelFit): Double = {
+    val x = fm.materialize
+    fm.clusterRanges.map { case (start, l) =>
+      val rows = start until start + l
+      val zi = Mat.fromRows(rows.map(r => fit.reCols.toSeq.map(x(r, _))))
+      val v = zi * fit.sigma * zi.t + Mat.eye(l) * fit.sigma2
+      val r = rows.map(k => y(k) - (0 until fm.m).map(j => x(k, j) * fit.beta(j)).sum).toArray
+      -0.5 * (l * math.log(2 * math.Pi) + Mat.logDet(v) + Mat.dot(r, v.inverse.mv(r)))
+    }.sum
+  }
 
   /** The factorised and dense fits agree: beta, sigma2 and Sigma to 1e-6,
     * predictions to 1e-5.
@@ -117,11 +151,30 @@ class MultiLevelEMSpec extends SparkSpec {
     for (seed <- 0 until 4; re <- Seq(None, Some(Array(0)))) {
       val fm = fixture(seed = 30 + seed)
       val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.6, noiseSd = 0.3, seed = 40 + seed)
-      val bk = new FactorizedBackend(fm)
-      val ll = (1 to 15).map(k => MultiLevelEM.logLikelihood(bk, y, MultiLevelEM.fit(bk, y, k, reCols = re)))
-      (1 until ll.size).foreach { k =>
-        assert(ll(k) >= ll(k - 1) - 1e-9,
-          s"seed $seed reCols ${re.map(_.mkString(",")).getOrElse("all")}: lnL ${ll(k - 1)} -> ${ll(k)} at iteration ${k + 1}")
+      for (bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
+        val ll = (1 to 15).map(k => MultiLevelEM.logLikelihood(bk, y, MultiLevelEM.fit(bk, y, k, reCols = re)))
+        (1 until ll.size).foreach { k =>
+          assert(ll(k) >= ll(k - 1) - 1e-9, s"${bk.getClass.getSimpleName} seed $seed reCols " +
+            s"${re.map(_.mkString(",")).getOrElse("all")}: lnL ${ll(k - 1)} -> ${ll(k)} at iteration ${k + 1}")
+        }
+      }
+    }
+  }
+
+  test("the sweep's log-likelihood equals the per-cluster dense formula on both backends") {
+    val cases = Seq(
+      ("time x geo", fixture(seed = 50), Array(1.0, 0.5, -0.3, 0.8), Seq(Array(0, 1, 2, 3), Array(0), Array(0, 3))),
+      ("three hierarchies", threeHierarchies(51), Array(1.0, 0.5, -0.3, 0.8, 0.2, -0.4),
+        Seq(Array.range(0, 6), Array(0), Array(2, 5))))
+    for ((name, fm, beta, res) <- cases; seed <- 0 until 2) {
+      assert(fm.blocks.size == 3)
+      val y = synthY(fm, beta, reSd = 0.6, noiseSd = 0.3, seed = 60 + seed)
+      for (re <- res; bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
+        val fit = MultiLevelEM.fit(bk, y, 10, reCols = Some(re))
+        val got = MultiLevelEM.logLikelihood(bk, y, fit)
+        val want = denseLogLikelihood(fm, y, fit)
+        assert(math.abs(got - want) <= 1e-6 * math.abs(want),
+          s"$name ${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}: $got vs $want")
       }
     }
   }

@@ -121,11 +121,9 @@ class EMStatisticsSpec extends AnyFunSuite {
     def xv(a: Array[Double]): Array[Double] = counted("xv")(bk.xv(a))
     def xtv(v: Array[Double]): Array[Double] = counted("xtv")(bk.xtv(v))
     def numClusters: Int = bk.numClusters
-    def clusterRanges: Array[(Int, Int)] = bk.clusterRanges
     def blockGrams: BlockGrams = counted("blockGrams")(bk.blockGrams)
     def clusterXtv(v: Array[Double]): Array[Double] = counted("clusterXtv")(bk.clusterXtv(v))
     def clusterXa(as: Array[Double]): Array[Double] = counted("clusterXa")(bk.clusterXa(as))
-    def clusterMat(i: Int): Mat = counted("clusterMat")(bk.clusterMat(i))
   }
 
   test("fit takes y's statistics once: no n-length product inside the EM loop") {
@@ -140,7 +138,21 @@ class EMStatisticsSpec extends AnyFunSuite {
       assert(bk.calls("xv") <= 1, what)
       assert(bk.calls("clusterXa") == 0, what)
       assert(bk.calls("gram") == 1 && bk.calls("blockGrams") == 1, what)
-      assert(bk.calls("clusterMat") == 0, what)
+    }
+  }
+
+  test("logLikelihood is one sweep: blockGrams and clusterXtv once, xv at most once") {
+    val fm = fixture(4)
+    val y = synthY(fm, 1.0, 0.0, 14)
+    for (inner <- backends(fm); re <- Seq(None, Some(Array(0)))) {
+      val fit = MultiLevelEM.fit(inner, y, 5, reCols = re)
+      val bk = new CountingBackend(inner)
+      MultiLevelEM.logLikelihood(bk, y, fit)
+      val what = s"${inner.getClass.getSimpleName} ${re.fold("all columns")(_.mkString("reCols ", ",", ""))}: " +
+        bk.calls
+      assert(bk.calls("blockGrams") == 1 && bk.calls("clusterXtv") == 1, what)
+      assert(bk.calls("xv") <= 1, what)
+      assert(bk.calls("xtv") == 0 && bk.calls("gram") == 0 && bk.calls("clusterXa") == 0, what)
     }
   }
 }

@@ -23,15 +23,17 @@ import scala.util.Random
   *  - factorised, a 3-block variant: 158,400 clusters, m = 7;
   *  - dense and factorised, at a shape a materialized matrix fits: n = 8,640
   *    in 1,440 clusters (two chunks of the E-step), m = 7.
-  * Each prints beta, Sigma, sigma2 and the escalation count in hex, and the
-  * length and SHA-256 of the bits of `bs` and of the predictions. Then
+  * Each prints beta, Sigma, sigma2 and the escalation count in hex, the
+  * length and SHA-256 of the bits of `bs` and of the predictions, and the
+  * marginal log-likelihood and AIC in hex. Then
   * every candidate's score, residual and predictions in the 16 US COVID
   * rankings (CovidExp's configuration), and in a COUNT and a MEAN ranking
   * on MetamorphicSpec's COMPAS-like fixture (the default configuration at
   * 12 EM iterations, every column random).
   *
-  * `--time k` also fits each factorised model k more times and prints the
-  * median fit time to stdout; the file is unchanged.
+  * `--time k` also fits each factorised model k more times, and takes its
+  * log-likelihood k more times, and prints the median times to stdout; the
+  * file is unchanged.
   */
 object FitDigest {
 
@@ -74,13 +76,18 @@ object FitDigest {
     out.println(s"ridgeEscalations ${fit.ridgeEscalations}")
     out.println(s"bs ${digest(fit.bs)}")
     out.println(s"predictions ${digest(MultiLevelEM.predict(bk, fit))}")
-    if (reps > 0) {
-      val ms = (0 until reps).map { _ =>
-        val t0 = System.nanoTime(); MultiLevelEM.fit(bk, y, 20, 1e-8, re); (System.nanoTime() - t0) / 1e6
-      }
-      println(f"[time] $what: median ${ms.sorted.apply(reps / 2)}%.1f ms of $reps fits, in order " +
+    def time(task: String)(f: => Unit): Unit = if (reps > 0) {
+      val ms = (0 until reps).map { _ => val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e6 }
+      println(f"[time] $what $task: median ${ms.sorted.apply(reps / 2)}%.1f ms of $reps, in order " +
         ms.map(v => f"$v%.0f").mkString(" "))
     }
+    // The fits are timed before this model's log-likelihood runs: timed
+    // after its sweep, whose `logDets` branch the fits never take, the first
+    // model's fits read 10-60% slower (4-core host, 3 runs).
+    time("fit")(MultiLevelEM.fit(bk, y, 20, 1e-8, re))
+    out.println(s"logLikelihood ${hex(MultiLevelEM.logLikelihood(bk, y, fit))}")
+    out.println(s"aic ${hex(MultiLevelEM.aic(bk, y, fit))}")
+    time("logLikelihood")(MultiLevelEM.logLikelihood(bk, y, fit))
   }
 
   private def matrix(c: Cube): FactorizedMatrix = {
