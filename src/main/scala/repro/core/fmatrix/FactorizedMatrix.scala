@@ -239,6 +239,8 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     cols.indices.filter(j => cols(j).hierIdx == H - 1 && cols(j).attrIdx == lastAttr).toArray
   private val constCols: Array[Int] = cols.indices.filterNot(varyingCols.contains(_)).toArray
   private val blockStart: Array[Int] = blocks.map(_._1).toArray
+  /** Each last-hierarchy row's parent block. */
+  private val blockOfRow: Array[Int] = blocks.indices.flatMap(b => Array.fill(blocks(b)._2)(b)).toArray
 
   /** Per cluster (numClusters x m, cluster-major): X's row at the cluster's
     * first row, zero at the varying columns, i.e. the values of the columns
@@ -365,21 +367,20 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
 
   // -------------------------------------------------------------- helpers
 
-  /** The per-hierarchy row indices making up global row `idx`. */
-  def coords(idx: Int): Array[Int] = Array.tabulate(H)(h => idx / innerSize(h) % totals(h))
-
   def indexOf(hierRows: Seq[Int]): Int = {
     require(hierRows.size == H, "indexOf arity mismatch")
     hierRows.indices.map(h => hierRows(h) * innerSize(h)).sum
   }
 
-  /** Feature row for global row idx (materializes one row). */
-  def rowOf(idx: Int): Array[Double] = {
-    val c = coords(idx)
-    Array.tabulate(m) { j =>
-      val col = cols(j)
-      if (col.hierIdx < 0) 1.0 else colVals(j)(c(col.hierIdx))
+  /** Writes X's row `r` into `out` and returns its cluster (see `clusterConst`). */
+  def row(r: Int, out: Array[Double]): Int = {
+    var j = 0
+    while (j < m) {
+      val h = cols(j).hierIdx
+      out(j) = if (h < 0) 1.0 else colVals(j)(r / innerSize(h) % totals(h))
+      j += 1
     }
+    r / totals(H - 1) * blocks.size + blockOfRow(r % totals(H - 1))
   }
 
   /** Fully materialized n x m matrix — only for tests and the naive
@@ -388,13 +389,8 @@ final class FactorizedMatrix(val hiers: Vector[HierRelation], val cols: Vector[F
     */
   def materialize: Mat = {
     val out = Mat.zeros(n, m)
-    var i = 0
-    while (i < n) {
-      val row = rowOf(i)
-      var j = 0
-      while (j < m) { out(i, j) = row(j); j += 1 }
-      i += 1
-    }
+    val x = new Array[Double](m)
+    (0 until n).foreach { i => row(i, x); System.arraycopy(x, 0, out.a, i * m, m) }
     out
   }
 }

@@ -9,16 +9,17 @@ import repro.core.linalg.Mat
   * (Reptile) and a dense one over the fully materialized matrix (the
   * Lapack/Matlab baseline). Tests assert both produce identical numbers.
   *
-  * The EM reads the cluster grams as `blockGrams` and takes y's
-  * statistics with one `xtv` and one `clusterXtv` per fit; `xv` and
-  * `clusterXa` serve predictions; the log-likelihood reads `blockGrams`,
-  * `clusterXtv` and `xv`. Per-cluster vectors are flat, m per cluster:
-  * cluster i's is `(i*m until (i+1)*m)`.
+  * The EM reads the gram, the cluster grams as `blockGrams` and X's rows
+  * (`row`): those y is observed at, and those it predicts. The n-length
+  * products serve Figure 7 and the tests. Per-cluster vectors are flat, m
+  * per cluster: cluster i's is `(i*m until (i+1)*m)`.
   */
 trait MLBackend {
   def n: Int
   def m: Int
   def gram: Mat
+  /** Writes X's row `r` into `out` (length m) and returns its cluster. */
+  def row(r: Int, out: Array[Double]): Int
   def xv(a: Array[Double]): Array[Double]
   def xtv(v: Array[Double]): Array[Double]
   def numClusters: Int
@@ -64,6 +65,7 @@ final class FactorizedBackend(val fm: FactorizedMatrix) extends MLBackend {
   def n: Int = fm.n
   def m: Int = fm.m
   def gram: Mat = fm.gram
+  def row(r: Int, out: Array[Double]): Int = fm.row(r, out)
   def xv(a: Array[Double]): Array[Double] = fm.xv(a)
   def xtv(v: Array[Double]): Array[Double] = fm.xtv(v)
   def numClusters: Int = fm.numClusters
@@ -84,37 +86,31 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
   def xtv(v: Array[Double]): Array[Double] = x.tmv(v)
   def numClusters: Int = clusterRanges.length
 
-  /** Cluster i's rows of X. */
-  private def slice(i: Int): Mat = {
-    val (s, l) = clusterRanges(i)
-    val out = Mat.zeros(l, m)
-    var r = 0
-    while (r < l) { var j = 0; while (j < m) { out(r, j) = x(s + r, j); j += 1 }; r += 1 }
-    out
-  }
+  private val clusterOf = clusterRanges.indices.flatMap(i => Array.fill(clusterRanges(i)._2)(i)).toArray
+  def row(r: Int, out: Array[Double]): Int = { System.arraycopy(x.a, r * m, out, 0, m); clusterOf(r) }
 
   /** Every cluster is a block of its own, `D_i = X_i^T X_i`, no rank-2
     * term: the EM then inverts one m x m matrix per cluster, as a dense
     * pipeline does.
     */
   def blockGrams: BlockGrams = {
-    val d = Array.tabulate(numClusters) { i => val xi = slice(i); (xi.t * xi).a }
+    val d = Array.fill(numClusters)(new Array[Double](m * m))
+    val xr = new Array[Double](m)
+    (0 until n).foreach { r =>
+      val di = d(row(r, xr))
+      var j = 0
+      while (j < m) { var k = 0; while (k < m) { di(j * m + k) += xr(j) * xr(k); k += 1 }; j += 1 }
+    }
     BlockGrams(Array.range(0, numClusters), d, Array.empty, clusterRanges.map(_._2), Array.emptyDoubleArray)
   }
 
   def clusterXtv(v: Array[Double]): Array[Double] = {
     val out = new Array[Double](numClusters * m)
-    var i = 0
-    while (i < numClusters) {
-      val (s, l) = clusterRanges(i)
-      var r = 0
-      while (r < l) {
-        val w = v(s + r)
-        var j = 0
-        while (j < m) { out(i * m + j) += w * x(s + r, j); j += 1 }
-        r += 1
-      }
-      i += 1
+    val xr = new Array[Double](m)
+    (0 until n).foreach { r =>
+      val off = row(r, xr) * m
+      var j = 0
+      while (j < m) { out(off + j) += v(r) * xr(j); j += 1 }
     }
     out
   }
@@ -122,19 +118,11 @@ final class DenseBackend(x: Mat, val clusterRanges: Array[(Int, Int)]) extends M
   def clusterXa(as: Array[Double]): Array[Double] = {
     require(as.length == numClusters * m, "clusterXa length mismatch")
     val out = new Array[Double](n)
-    var i = 0
-    while (i < numClusters) {
-      val (s, l) = clusterRanges(i)
-      val off = i * m
-      var r = 0
-      while (r < l) {
-        var acc = 0.0
-        var j = 0
-        while (j < m) { acc += x(s + r, j) * as(off + j); j += 1 }
-        out(s + r) = acc
-        r += 1
-      }
-      i += 1
+    val xr = new Array[Double](m)
+    (0 until n).foreach { r =>
+      val off = row(r, xr) * m
+      var j = 0
+      while (j < m) { out(r) += xr(j) * as(off + j); j += 1 }
     }
     out
   }

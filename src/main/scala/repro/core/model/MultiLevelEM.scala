@@ -23,15 +23,66 @@ final case class MultiLevelFit(
     ridgeEscalations: Int,
 )
 
+/** y as its observed rows: `values(k)` at matrix row `rows(k)` (distinct),
+  * `default` at every other row (Section 5.1.4's empty groups).
+  */
+final case class ObservedY(rows: Array[Int], values: Array[Double], default: Double)
+
+object ObservedY {
+  /** y given at every row, as its nonzero rows: the same arithmetic as
+    * those rows given with a default of 0.
+    */
+  def dense(y: Array[Double]): ObservedY = {
+    val rows = Array.range(0, y.length).filter(y(_) != 0.0)
+    ObservedY(rows, rows.map(y), 0.0)
+  }
+}
+
+/** y's statistics in the frame of y - c 1 (c = `y.default`), which is zero
+  * off the observed rows: one pass over them with `MLBackend.row`. X's
+  * first column is the intercept, so y's beta is `shifted(beta)` there.
+  */
+private[model] final class YStats(bk: MLBackend, y: ObservedY) {
+  private val (m, c) = (bk.m, y.default)
+  private val x = new Array[Double](m)
+  /** X^T (y - c 1), X_i^T (y_i - c 1) (m per cluster) and |y - c 1|^2. */
+  val xty = new Array[Double](m)
+  val xiy = new Array[Double](bk.numClusters * m)
+  var yy = 0.0
+  y.rows.indices.foreach { k =>
+    val v = y.values(k) - c
+    val off = bk.row(y.rows(k), x) * m
+    var j = 0
+    while (j < m) { xty(j) += v * x(j); xiy(off + j) += v * x(j); j += 1 }
+    yy += v * v
+  }
+
+  def shifted(beta: Array[Double]): Array[Double] = if (c == 0.0) beta else beta.updated(0, beta(0) - c)
+
+  /** |y - X beta|^2 from b = shifted(beta): with every row observed, a
+    * second pass; else sum_obs [(y_r - c - x_r b)^2 - (x_r b)^2] + b^T X^T X b,
+    * whose sum is |y - c 1|^2 - 2 b^T X^T (y - c 1).
+    */
+  def rss(b: Array[Double], gram: => Mat): Double =
+    if (y.rows.length < bk.n) yy - 2.0 * Mat.dot(b, xty) + Mat.dot(b, gram.mv(b))
+    else y.rows.indices.foldLeft(0.0) { (acc, k) =>
+      bk.row(y.rows(k), x)
+      val d = y.values(k) - c - Mat.dot(x, b)
+      acc + d * d
+    }
+}
+
 /** EM training for the multi-level linear model over any MLBackend.
   *
-  * The loop follows Appendix D. y enters only through statistics taken
-  * once per fit: X^T y, every X_i^T y_i and the initial residual sum of
-  * squares. Every per-iteration term is then a product of the gram, the
-  * cluster grams G_i and these statistics, so the loop touches no n-length
-  * array. Each iteration is one sweep over the cluster grams' block-plus-
-  * rank-2 form (BlockEStep) and an m x m M-step. With r = y - X beta and
-  * b~_i the posterior mean b_i zero-padded to X's columns (Z_i b_i = X_i b~_i):
+  * The loop follows Appendix D. y enters only through statistics of its
+  * observed rows, taken once per fit (YStats): X^T y, every X_i^T y_i and
+  * the initial residual sum of squares. Every per-iteration term is then a
+  * product of the gram, the cluster grams G_i and these statistics, so the
+  * loop touches no n-length array. Each iteration is one sweep over the
+  * cluster grams' block-plus-rank-2 form (BlockEStep) and an m x m M-step.
+  * beta solves y's own ridged normal equations; the residual terms use
+  * y - c 1, as YStats does. With r = y - X beta and b~_i the
+  * posterior mean b_i zero-padded to X's columns (Z_i b_i = X_i b~_i):
   *  - E-step input: Z_i^T r_i, the Z-slice of X_i^T y_i - G_i beta;
   *  - M-step: X^T Z b = sum_i G_i b~_i, beta = (X^T X)^{-1} (X^T y - X^T Z b);
   *  - r^T Z b = sum_i b~_i^T X_i^T y_i - beta^T X^T Z b;
@@ -43,10 +94,11 @@ final case class MultiLevelFit(
   *    size of the residual and of Delta.
   *
   * The same loop runs over the factorised representation and over the
-  * materialized matrix: the backend supplies X^T y, X_i^T y_i, the gram and
-  * the cluster grams. Restricting the random effects to a column subset S
+  * materialized matrix: the backend supplies X's rows, the gram and the
+  * cluster grams. Restricting the random effects to a column subset S
   * needs no extra backend support: Z_i^T r_i is the S-slice of X_i^T r_i
-  * and Z_i^T Z_i is the S x S submatrix of the cluster gram.
+  * and Z_i^T Z_i is the S x S submatrix of the cluster gram. With no
+  * iterations the fit is OLS (LinearModel).
   *
   * Every floor and ridge is relative to the data it guards, so fitting
   * `c * y` gives `c *` the predictions of fitting `y`.
@@ -61,6 +113,10 @@ object MultiLevelEM {
       reCols: Option[Array[Int]] = None,
   ): MultiLevelFit = {
     require(y.length == bk.n, s"y length ${y.length} != n ${bk.n}")
+    fit(bk, ObservedY.dense(y), iters, ridge, reCols)
+  }
+
+  def fit(bk: MLBackend, y: ObservedY, iters: Int, ridge: Double, reCols: Option[Array[Int]]): MultiLevelFit = {
     val m = bk.m
     val g = bk.numClusters
     val re: Array[Int] = reCols.getOrElse(Array.range(0, m))
@@ -68,17 +124,17 @@ object MultiLevelEM {
     val s = re.length
 
     // Precomputed once: X^T X (+ inverse), the cluster grams, and y's
-    // statistics X^T y and X_i^T y_i.
+    // statistics.
     val gram = bk.gram
     val gramInv = Mat.scaledRidgeInverse(gram, ridge)
     val est = new BlockEStep(bk.blockGrams, m, re, ridge)
-    val xty = bk.xtv(y)
-    val xiy = bk.clusterXtv(y)
-    val yScale = { val q = meanSq(y); if (q > 0) q else 1.0 }
+    val ys = new YStats(bk, y)
+    val xty = Array.tabulate(m)(j => ys.xty(j) + y.default * gram(j, 0)) // X^T y, X^T 1 = gram column 0
+    val yScale = if (ys.yy > 0) ys.yy / bk.n else 1.0
 
     // Init: OLS beta; residual variance; Sigma = sigma2 * I.
     var beta = gramInv.mv(xty)
-    var rr = sqDist(y, bk.xv(beta)) // |y - X beta|^2, updated per iteration
+    var rr = ys.rss(ys.shifted(beta), gram) // |y - X beta|^2, updated per iteration
     var sigma2 = math.max(rr / bk.n, 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
@@ -88,28 +144,37 @@ object MultiLevelEM {
       // E-step: posterior means into bs, with the M-step's Sigma and trace
       // terms, X^T Z b and b^T X^T y
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      val trAcc = est.run(xiy, beta, sigma2, sigmaInv.a, bs)
+      val old = ys.shifted(beta)
+      val trAcc = est.run(ys.xiy, old, sigma2, sigmaInv.a, bs)
 
       // M-step
-      val xtrOld = sub(xty, gram.mv(beta)) // X^T r at the old beta
+      val xtrOld = sub(ys.xty, gram.mv(old)) // X^T r at the old beta
       val next = gramInv.mv(sub(xty, est.xtzb))
       val delta = sub(next, beta)
       rr += Mat.dot(delta, gram.mv(delta)) - 2.0 * Mat.dot(delta, xtrOld)
       beta = next
       sigma = new Mat(s, s, est.sigAcc.map(_ / g))
-      val rzb = est.bty - Mat.dot(beta, est.xtzb)
+      val rzb = est.bty - Mat.dot(ys.shifted(beta), est.xtzb)
       sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12 * yScale)
       it += 1
     }
     MultiLevelFit(beta, sigma, sigma2, bs, re, iters, est.escalations)
   }
 
-  /** yhat = X beta + Z b (fixed + random effects). */
-  def predict(bk: MLBackend, fit: MultiLevelFit): Array[Double] = {
-    val fixed = bk.xv(fit.beta)
-    val padded = new Array[Double](bk.numClusters * bk.m)
-    padInto(fit.bs, fit.reCols, bk.m, padded)
-    add(fixed, bk.clusterXa(padded))
+  /** yhat = X beta + Z b (fixed + random effects) at every row. */
+  def predict(bk: MLBackend, fit: MultiLevelFit): Array[Double] = predict(bk, fit, Array.range(0, bk.n))
+
+  /** yhat at matrix rows `rows`: x_r^T beta + z_r^T b_i, i the cluster of row r. */
+  def predict(bk: MLBackend, fit: MultiLevelFit, rows: Array[Int]): Array[Double] = {
+    val x = new Array[Double](bk.m)
+    val s = fit.reCols.length
+    rows.map { r =>
+      val i = bk.row(r, x)
+      var v = Mat.dot(x, fit.beta)
+      var k = 0
+      while (k < s) { v += x(fit.reCols(k)) * fit.bs(i * s + k); k += 1 }
+      v
+    }
   }
 
   /** Marginal Gaussian log-likelihood, y_i ~ N(X_i beta, Z_i Sigma Z_i^T +
@@ -118,49 +183,26 @@ object MultiLevelEM {
     * lnL = -1/2 [n log(2 pi sigma2) + sum_i (log det W_i - log det P_b)
     *   + (|y - X beta|^2 - sum_i mu_i^T Z_i^T r_i) / sigma2]. Used for AIC.
     */
-  def logLikelihood(bk: MLBackend, y: Array[Double], fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
-    require(y.length == bk.n, s"y length ${y.length} != n ${bk.n}")
+  def logLikelihood(bk: MLBackend, y: ObservedY, fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
     val sigmaInv = Mat.ridgeInverse(fit.sigma, ridge)
     val est = new BlockEStep(bk.blockGrams, bk.m, fit.reCols, ridge, logDets = true)
-    est.run(bk.clusterXtv(y), fit.beta, fit.sigma2, sigmaInv.a, new Array[Double](bk.numClusters * fit.reCols.length))
-    val rr = sqDist(y, bk.xv(fit.beta))
+    val ys = new YStats(bk, y)
+    val b = ys.shifted(fit.beta)
+    est.run(ys.xiy, b, fit.sigma2, sigmaInv.a, new Array[Double](bk.numClusters * fit.reCols.length))
+    val rr = ys.rss(b, bk.gram)
     -0.5 * (bk.n * math.log(2 * math.Pi * fit.sigma2) + est.logDetWP + (rr - est.muXtr) / fit.sigma2)
   }
 
   /** AIC = 2k - 2 lnL; k = fixed effects + Sigma parameters + sigma2. */
-  def aic(bk: MLBackend, y: Array[Double], fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
+  def aic(bk: MLBackend, y: ObservedY, fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
     val s = fit.reCols.length
     val k = bk.m + s * (s + 1) / 2 + 1
     2.0 * k - 2.0 * logLikelihood(bk, y, fit, ridge)
   }
 
-  // ------------------------------------------------------------- helpers
-  /** Scatters the flat per-cluster s-vectors `bs` into the flat per-cluster
-    * m-vectors `out` at columns `idx`; the other entries are left as they are.
-    */
-  private def padInto(bs: Array[Double], idx: Array[Int], m: Int, out: Array[Double]): Unit = {
-    val s = idx.length
-    val g = out.length / m
-    var i = 0
-    while (i < g) {
-      var k = 0
-      while (k < s) { out(i * m + idx(k)) = bs(i * s + k); k += 1 }
-      i += 1
-    }
-  }
   private def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
     val out = new Array[Double](a.length)
     var i = 0; while (i < a.length) { out(i) = a(i) - b(i); i += 1 }; out
-  }
-  private def add(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var i = 0; while (i < a.length) { out(i) = a(i) + b(i); i += 1 }; out
-  }
-  private def meanSq(a: Array[Double]): Double = {
-    var s = 0.0; var i = 0; while (i < a.length) { s += a(i) * a(i); i += 1 }; s / math.max(a.length, 1)
-  }
-  private def sqDist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0; while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }; s
   }
 }
 
@@ -258,9 +300,12 @@ private object Chunks {
   *    and t is the block's, so a cluster adds mu mu^T - k11 a a^T to one
   *    s x s sum, k12 a to an s-vector and k22 to a scalar, with
   *    [[k11, k12], [k12, k22]] = K^{-1};
-  *  - G_i = sigma2 (W_i - Sigma^{-1} - lambda_b I) and W_i mu_i = Z_i^T r_i
-  *    / sigma2 give Tr(G_i (V_i + mu_i mu_i^T)) =
-  *    sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T))) + mu_i^T Z_i^T r_i;
+  *  - G_i = sigma2 (W_i - Sigma^{-1} - lambda_b I) gives Tr(G_i (V_i +
+  *    mu_i mu_i^T)) = sigma2 (s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i
+  *    mu_i^T))) + sigma2 mu_i^T W_i mu_i, the last from W_i's block form:
+  *    sigma2 mu^T A_b mu + len_b (u_i^T mu)^2 + 2 (u_i^T mu)(s_b^T mu).
+  *    Taking Z_i^T r_i for sigma2 W_i mu_i would carry mu_i's rounding
+  *    (DESIGN.md) into sigma2 to first order;
   *  - G_i b~_i is u_i (len_b u_i^T b~_i + s_b^T b~_i) per cluster, plus
   *    D_b sum_{i in b} b~_i + s_b sum_{i in b} u_i^T b~_i per block.
   *
@@ -307,6 +352,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   // ridge, D_b beta in Z's rows, s_b^T beta, and the cluster sums of
   // mu mu^T - k11 a a^T, k12 a, k22, b_i and u_i^T b~_i.
   private val aInv = new Array[Double](nb * ss)
+  private val aB = new Array[Double](nb * ss) // A_b, with its ridge
   private val tZ = new Array[Double](r2 * s)
   private val stb = new Array[Double](r2)
   private val lambda = new Array[Double](nb)
@@ -346,6 +392,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     val xtzb: Array[Double] = if (c == 0) BlockEStep.this.xtzb else new Array[Double](m)
     var muXtr = 0.0 // sum_i mu_i^T Z_i^T r_i
     var by = 0.0    // sum_i b~_i^T X_i^T y_i
+    var muWmu = 0.0 // sum_i sigma2 mu_i^T W_i mu_i
     var tr = 0.0
     var logDetK = 0.0 // sum_i log(-det K), with `logDets`
     var escalations = 0
@@ -377,12 +424,14 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       if (c > 0) zero(p.xtzb)
       p.muXtr = 0.0
       p.by = 0.0
+      p.muWmu = 0.0
       p.logDetK = 0.0
       var i = from
       while (i < until) { cluster(i, xiy, beta, sigma2, mu, p); i += 1 }
     }
     muXtr = parts(0).muXtr
     var by = parts(0).by
+    var muWmu = parts(0).muWmu
     var c = 1
     while (c < chunks.count) {
       val p = parts(c)
@@ -393,6 +442,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       Chunks.addInto(xtzb, p.xtzb)
       muXtr += p.muXtr
       by += p.by
+      muWmu += p.muWmu
       c += 1
     }
     bty = by
@@ -423,7 +473,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       escalations += p.escalations
       c += 1
     }
-    sigma2 * tr + muXtr
+    sigma2 * tr + muWmu
   }
 
   private def zero(as: Array[Double]*): Unit = as.foreach(java.util.Arrays.fill(_, 0.0))
@@ -480,6 +530,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       while (k < ss) { wBuf(k) = sigmaInv(k) + dZ(off + k) / sigma2; invBuf(k) = 0.0; k += 1 }
       var d = 0
       while (d < s) { wBuf(d * s + d) += lam; invBuf(d * s + d) = 1.0; d += 1 }
+      System.arraycopy(wBuf, 0, aB, off, ss)
       ok = Mat.eliminate(wBuf, invBuf, s)
       if (!ok) lam *= 1e3
       attempt += 1
@@ -588,9 +639,10 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       }
       p.qB(b) += i22
     }
-    // accB += mu mu^T - k11 a a^T; the b_i and u_i^T b~_i block sums; b~_i^T X_i^T y_i
+    // accB += mu mu^T - k11 a a^T; mu^T A_b mu; the b_i and u_i^T b~_i
+    // block sums; b~_i^T X_i^T y_i
     var muXtr = p.muXtr; var by = p.by
-    var ubi = 0.0; var sbi = 0.0
+    var ubi = 0.0; var sbi = 0.0; var muAmu = 0.0
     j = 0
     while (j < s) {
       val mj = mu(mo + j)
@@ -603,13 +655,14 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       if (rank2) {
         ubi += u(io + x) * mj; sbi += sb(b * m + x) * mj
         val wj = i11 * aBuf(j)
-        while (k < s) { accB(ro + k) += mj * mu(mo + k) - wj * aBuf(k); k += 1 }
+        while (k < s) { val mm = mj * mu(mo + k); accB(ro + k) += mm - wj * aBuf(k); muAmu += mm * aB(ro + k); k += 1 }
       } else
-        while (k < s) { accB(ro + k) += mj * mu(mo + k); k += 1 }
+        while (k < s) { val mm = mj * mu(mo + k); accB(ro + k) += mm; muAmu += mm * aB(ro + k); k += 1 }
       j += 1
     }
     p.muXtr = muXtr
     p.by = by
+    p.muWmu += sigma2 * muAmu + (if (rank2) len(b) * ubi * ubi + 2.0 * ubi * sbi else 0.0)
     if (rank2) {
       // G_i b~_i's u_i (len_b u_i^T b~_i + s_b^T b~_i); s_b u_i^T b~_i is summed per block
       p.ubSum(b) += ubi
@@ -621,32 +674,13 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   }
 }
 
-/** Ordinary least squares over a backend — the paper's "Naive Approach"
-  * linear model (Section 3.2) and the Linear/Linear-f rows of Figure 16.
+/** Ordinary least squares, the paper's "Naive Approach" (Section 3.2): the
+  * EM's fit with no iterations and no random effects; `MultiLevelEM.aic`
+  * gives its AIC (Figure 16's Linear rows).
   */
 object LinearModel {
-  final case class LinearFit(beta: Array[Double], sigma2: Double)
+  def fit(bk: MLBackend, y: Array[Double], ridge: Double = 1e-8): MultiLevelFit =
+    MultiLevelEM.fit(bk, y, 0, ridge, Some(Array.emptyIntArray))
 
-  def fit(bk: MLBackend, y: Array[Double], ridge: Double = 1e-8): LinearFit = {
-    val beta = Mat.scaledRidgeInverse(bk.gram, ridge).mv(bk.xtv(y))
-    val pred = bk.xv(beta)
-    var rss = 0.0
-    var i = 0
-    while (i < y.length) { val d = y(i) - pred(i); rss += d * d; i += 1 }
-    LinearFit(beta, math.max(rss / math.max(y.length, 1), 1e-12))
-  }
-
-  def predict(bk: MLBackend, fit: LinearFit): Array[Double] = bk.xv(fit.beta)
-
-  def logLikelihood(bk: MLBackend, y: Array[Double], fit: LinearFit): Double = {
-    val pred = bk.xv(fit.beta)
-    var rss = 0.0
-    var i = 0
-    while (i < y.length) { val d = y(i) - pred(i); rss += d * d; i += 1 }
-    val n = y.length
-    -0.5 * n * (math.log(2 * math.Pi * fit.sigma2) + rss / (n * fit.sigma2))
-  }
-
-  def aic(bk: MLBackend, y: Array[Double], fit: LinearFit): Double =
-    2.0 * (bk.m + 1) - 2.0 * logLikelihood(bk, y, fit)
+  def predict(bk: MLBackend, fit: MultiLevelFit): Array[Double] = MultiLevelEM.predict(bk, fit)
 }

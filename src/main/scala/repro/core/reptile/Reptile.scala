@@ -9,7 +9,7 @@ import org.apache.spark.sql.types.{DataType, DoubleType, FloatType}
 import org.apache.spark.unsafe.Platform
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
-import repro.core.model.{FactorizedBackend, LinearModel, MLBackend, MultiLevelEM}
+import repro.core.model.{FactorizedBackend, MultiLevelEM, ObservedY}
 
 /** A hierarchical dimension: attributes ordered least to most specific. */
 final case class Dimension(name: String, attrs: Vector[String])
@@ -129,10 +129,14 @@ final class Drilldown(
     Featurizer.fromGroups(groupRows, Drilldown.targets(kind, cfg.logTransform, stats, sums)._1, hiers, aux,
       cfg.minParallel)
 
-  /** A `kind` model's y over the whole matrix (`Reptile.buildY`). */
-  def y(kind: StatKind, logTransform: Boolean): Array[Double] = {
+  /** A `kind` model's y: the groups' targets and default
+    * (`Drilldown.targets`), in the order of their matrix rows, so that a
+    * fit's rounding does not depend on the order the data step met them.
+    */
+  def observedY(kind: StatKind, logTransform: Boolean): ObservedY = {
     val (targets, default) = Drilldown.targets(kind, logTransform, stats, sums)
-    Reptile.buildY(matrixRows, n.toInt, targets, default)
+    val byRow = stats.indices.sortBy(matrixRows(_)).toArray
+    ObservedY(byRow.map(matrixRows), byRow.map(targets), default)
   }
 }
 
@@ -487,16 +491,18 @@ object Reptile {
     }
 
     val groups = dd.candidates(filters)
+    val rows = groups.map(_._1).toArray
 
     // One model per statistic kind, all over the same hierarchies.
     val perKind: Map[StatKind, Array[Double]] = kinds.map { kind =>
-      kind -> predictions(new FactorizedMatrix(dd.hiers, dd.features(kind, aux, cfg)), dd.y(kind, cfg.logTransform), cfg)
+      val fm = new FactorizedMatrix(dd.hiers, dd.features(kind, aux, cfg))
+      kind -> predictions(fm, dd.observedY(kind, cfg.logTransform), rows, cfg)
     }.toMap
 
     val obsAll = groups.map(_._3)
     val baselineScore = complaint.score(GroupStats.combine(obsAll))
-    val scored = groups.zipWithIndex.map { case ((row, values, obs), ci) =>
-      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)(row)).toMap
+    val scored = groups.zipWithIndex.map { case ((_, values, obs), ci) =>
+      val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)(ci)).toMap
       val rep = repair(obs, preds, kinds)
       val residual =
         if (kinds.size == 2) obs.sum - preds("count") * preds("mean") // SUM via count x mean
@@ -512,23 +518,9 @@ object Reptile {
 
   // ------------------------------------------------------------ internals
 
-  /** y over the full cartesian product of parallel groups (the paper's
-    * worst case, Section 5.1.4: even empty groups participate): `n` rows
-    * of `default`, and `targets(g)` at group g's matrix row `rows(g)`.
-    * Fails with an IllegalArgumentException, before allocating, when y and
-    * its prediction vectors cannot fit in the heap (`requireHeapFor`).
-    */
-  def buildY(rows: Array[Int], n: Int, targets: Array[Double], default: Double): Array[Double] = {
-    requireHeapFor(n)
-    val y = new Array[Double](n)
-    java.util.Arrays.fill(y, default)
-    rows.indices.foreach(g => y(rows(g)) = targets(g))
-    y
-  }
-
-  /** `buildY` over string-keyed groups: `observed` maps each group's values
-    * of `allAttrs` (the attributes of `hiers`, in order) to its statistics;
-    * a sum is `count x mean`.
+  /** y at every row of `fm` from string-keyed groups: `observed` maps each
+    * group's values of `allAttrs` (the attributes of `hiers`, in order) to
+    * its statistics; a sum is `count x mean`.
     */
   def buildY(
       fm: FactorizedMatrix,
@@ -540,23 +532,12 @@ object Reptile {
   ): Array[Double] = {
     val offsets = hiers.scanLeft(0)(_ + _.depth)
     val (keys, stats) = observed.toVector.unzip
-    val rows = keys.map(k => fm.indexOf(hiers.indices.map(h => hiers(h).rowIndexOf(k.slice(offsets(h), offsets(h + 1))))))
     val (targets, default) = Drilldown.targets(kind, cfg.logTransform, stats, stats.map(_.sum))
-    buildY(rows.toArray, fm.n, targets, default)
-  }
-
-  /** n-length double vectors a model holds at once: y, and while predicting
-    * X beta, Z b and their sum.
-    */
-  private val VectorsPerModel = 4
-
-  /** Rejects a matrix whose n-length vectors exceed the JVM's maximum heap. */
-  private def requireHeapFor(n: Int): Unit = {
-    val bytes = 8L * VectorsPerModel * n
-    val max = Runtime.getRuntime.maxMemory
-    if (bytes > max)
-      throw new IllegalArgumentException(s"the model's matrix has n = $n rows: y and its prediction vectors " +
-        s"need $bytes bytes, more than the maximum heap of $max bytes")
+    val y = Array.fill(fm.n)(default)
+    keys.indices.foreach { g =>
+      y(fm.indexOf(hiers.indices.map(h => hiers(h).rowIndexOf(keys(g).slice(offsets(h), offsets(h + 1)))))) = targets(g)
+    }
+    y
   }
 
   /** Random-effect column subset per the config. */
@@ -567,12 +548,11 @@ object Reptile {
       case other       => throw new IllegalArgumentException(s"unknown randomEffects mode $other")
     }
 
-  private def predictions(fm: FactorizedMatrix, y: Array[Double], cfg: ReptileConfig): Array[Double] = {
-    val bk: MLBackend = new FactorizedBackend(fm)
-    val raw =
-      if (cfg.multiLevel)
-        MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge, reColsFor(fm, cfg)))
-      else LinearModel.predict(bk, LinearModel.fit(bk, y, cfg.ridge))
+  /** Predictions at matrix rows `rows`; without `multiLevel`, of OLS (no EM iterations). */
+  private def predictions(fm: FactorizedMatrix, y: ObservedY, rows: Array[Int], cfg: ReptileConfig): Array[Double] = {
+    val bk = new FactorizedBackend(fm)
+    val fit = MultiLevelEM.fit(bk, y, if (cfg.multiLevel) cfg.emIters else 0, cfg.ridge, reColsFor(fm, cfg))
+    val raw = MultiLevelEM.predict(bk, fit, rows)
     if (cfg.logTransform) raw.map(v => math.max(math.expm1(v), 0.0)) else raw
   }
 

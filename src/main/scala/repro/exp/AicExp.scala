@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core.fmatrix.FactorizedMatrix
-import repro.core.model.{FactorizedBackend, LinearModel, MultiLevelEM}
+import repro.core.model.{FactorizedBackend, MultiLevelEM}
 import repro.core.reptile._
 import repro.synth.DatasetSynth
 
@@ -29,14 +29,14 @@ object AicExp {
     def aicFor(useAux: Boolean, multiLevel: Boolean): Double = {
       val fm = new FactorizedMatrix(dd.hiers, dd.features(StatKind.MeanStat, if (useAux) Seq(aux) else Nil, cfg))
       val bk = new FactorizedBackend(fm)
-      val y = dd.y(StatKind.MeanStat, cfg.logTransform)
-      if (multiLevel) {
-        // random intercept + (if present) random slope on the aux feature
-        val re = fm.cols.zipWithIndex.collect {
-          case (c, i) if c.label == "intercept" || c.label.startsWith("aux:") => i
-        }.toArray
-        MultiLevelEM.aic(bk, y, MultiLevelEM.fit(bk, y, emIters, cfg.ridge, Some(re)), cfg.ridge)
-      } else LinearModel.aic(bk, y, LinearModel.fit(bk, y, cfg.ridge))
+      val y = dd.observedY(StatKind.MeanStat, cfg.logTransform)
+      // Multi-level: a random intercept + (if present) a random slope on the
+      // aux feature. Linear: OLS, the EM's fit with no iterations and no
+      // random effects.
+      val re = fm.cols.indices.filter { i =>
+        multiLevel && (fm.cols(i).label == "intercept" || fm.cols(i).label.startsWith("aux:"))
+      }.toArray
+      MultiLevelEM.aic(bk, y, MultiLevelEM.fit(bk, y, if (multiLevel) emIters else 0, cfg.ridge, Some(re)), cfg.ridge)
     }
 
     Vector(

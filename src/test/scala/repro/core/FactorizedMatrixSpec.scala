@@ -50,11 +50,15 @@ class FactorizedMatrixSpec extends SparkSpec {
     }
   }
 
+  /** The per-hierarchy row indices making up global row `i`. */
+  private def coords(fm: FactorizedMatrix, i: Int): Array[Int] =
+    Array.tabulate(fm.H)(h => i / fm.innerSize(h) % fm.totals(h))
+
   test("coords/indexOf round trip") {
     for (seed <- 0 until 5) {
       val fm = randomMatrix(seed)
       for (i <- 0 until math.min(fm.n, 50)) {
-        assert(fm.indexOf(fm.coords(i).toIndexedSeq) == i)
+        assert(fm.indexOf(coords(fm, i).toIndexedSeq) == i)
       }
     }
   }
@@ -64,7 +68,8 @@ class FactorizedMatrixSpec extends SparkSpec {
     val x = fm.materialize
     // adjacent rows differ only in the suffix hierarchies (odometer order)
     for (i <- 0 until math.min(fm.n, 100)) {
-      val row = fm.rowOf(i)
+      val row = new Array[Double](fm.m)
+      fm.row(i, row)
       (0 until fm.m).foreach(j => assert(row(j) == x(i, j)))
     }
   }
@@ -119,7 +124,7 @@ class FactorizedMatrixSpec extends SparkSpec {
     val lastHier = fm.hiers.last
     fm.clusterRanges.foreach { case (s, l) =>
       val tuples = (s until s + l).map { i =>
-        val c = fm.coords(i)
+        val c = coords(fm, i)
         fm.hiers.indices.flatMap(h => fm.hiers(h).rows(c(h))).toVector
       }
       val prefixLen = tuples.head.size - 1
@@ -189,6 +194,22 @@ class FactorizedMatrixSpec extends SparkSpec {
       val got = fm.clusterXtv(v)
       assert(got.length == fm.numClusters * fm.m)
       expect.zip(got).foreach { case (e, g) => assert(math.abs(e - g) < 1e-8, s"seed $seed") }
+    }
+  }
+
+  test("row gives the materialized row and the cluster whose range holds it, on both backends") {
+    for (seed <- 0 until 10) {
+      val fm = randomMatrix(seed + 750)
+      val x = fm.materialize
+      val dense = new DenseBackend(x, fm.clusterRanges)
+      val (a, b) = (new Array[Double](fm.m), new Array[Double](fm.m))
+      for (r <- 0 until fm.n) {
+        val i = fm.row(r, a)
+        val (start, len) = fm.clusterRanges(i)
+        assert(r >= start && r < start + len, s"row $r cluster $i seed $seed")
+        assert(dense.row(r, b) == i, s"row $r seed $seed")
+        (0 until fm.m).foreach(j => assert(a(j) == x(r, j) && b(j) == x(r, j), s"row $r col $j seed $seed"))
+      }
     }
   }
 

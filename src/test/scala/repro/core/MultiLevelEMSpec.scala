@@ -152,7 +152,7 @@ class MultiLevelEMSpec extends SparkSpec {
       val fm = fixture(seed = 30 + seed)
       val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.6, noiseSd = 0.3, seed = 40 + seed)
       for (bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
-        val ll = (1 to 15).map(k => MultiLevelEM.logLikelihood(bk, y, MultiLevelEM.fit(bk, y, k, reCols = re)))
+        val ll = (1 to 15).map(k => MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), MultiLevelEM.fit(bk, y, k, reCols = re)))
         (1 until ll.size).foreach { k =>
           assert(ll(k) >= ll(k - 1) - 1e-9, s"${bk.getClass.getSimpleName} seed $seed reCols " +
             s"${re.map(_.mkString(",")).getOrElse("all")}: lnL ${ll(k - 1)} -> ${ll(k)} at iteration ${k + 1}")
@@ -171,7 +171,7 @@ class MultiLevelEMSpec extends SparkSpec {
       val y = synthY(fm, beta, reSd = 0.6, noiseSd = 0.3, seed = 60 + seed)
       for (re <- res; bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
         val fit = MultiLevelEM.fit(bk, y, 10, reCols = Some(re))
-        val got = MultiLevelEM.logLikelihood(bk, y, fit)
+        val got = MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), fit)
         val want = denseLogLikelihood(fm, y, fit)
         assert(math.abs(got - want) <= 1e-6 * math.abs(want),
           s"$name ${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}: $got vs $want")
@@ -238,7 +238,7 @@ class MultiLevelEMSpec extends SparkSpec {
     val bk = new FactorizedBackend(fm)
     val good = MultiLevelEM.fit(bk, y, iters = 15)
     val bad = good.copy(beta = good.beta.map(_ + 5.0))
-    assert(MultiLevelEM.logLikelihood(bk, y, good) > MultiLevelEM.logLikelihood(bk, y, bad))
+    assert(MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), good) > MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), bad))
   }
 
   test("LinearModel OLS matches the normal equations") {
@@ -256,14 +256,14 @@ class MultiLevelEMSpec extends SparkSpec {
     val rng = new Random(17)
     val y = Array.fill(40)(rng.nextGaussian())
     val small = new FactorizedMatrix(Vector(h), Vector(FeatureColumn.Intercept))
-    val aicSmall = LinearModel.aic(new FactorizedBackend(small), y,
+    val aicSmall = MultiLevelEM.aic(new FactorizedBackend(small), ObservedY.dense(y),
       LinearModel.fit(new FactorizedBackend(small), y))
     val noise = (0 until 40).map(i => f"g$i%02d" -> rng.nextGaussian()).toMap
     val big = new FactorizedMatrix(Vector(h), Vector(
       FeatureColumn.Intercept,
       FeatureColumn("n1", 0, 0, noise),
       FeatureColumn("n2", 0, 0, v => noise(v) * noise(v))))
-    val aicBig = LinearModel.aic(new FactorizedBackend(big), y,
+    val aicBig = MultiLevelEM.aic(new FactorizedBackend(big), ObservedY.dense(y),
       LinearModel.fit(new FactorizedBackend(big), y))
     assert(aicSmall < aicBig + 6.0) // noise features should not win decisively
   }

@@ -94,8 +94,8 @@ class RandomEffectsSpec extends SparkSpec {
     val sub = MultiLevelEM.fit(bk, y, 5, reCols = Some(Array(0)))
     // k = m + s(s+1)/2 + 1 with s = 1
     val expectedK = fm.m + 1 + 1
-    val aic = MultiLevelEM.aic(bk, y, sub)
-    val ll = MultiLevelEM.logLikelihood(bk, y, sub)
+    val aic = MultiLevelEM.aic(bk, ObservedY.dense(y), sub)
+    val ll = MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), sub)
     assert(math.abs(aic - (2.0 * expectedK - 2.0 * ll)) < 1e-9)
   }
 

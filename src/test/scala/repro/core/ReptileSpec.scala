@@ -342,18 +342,35 @@ class ReptileSpec extends SparkSpec {
     assert(badJobs <= cleanJobs && cleanJobs <= 2, s"$badJobs jobs with a null measure, $cleanJobs without")
   }
 
-  test("a matrix whose y cannot fit in the heap fails before y is allocated") {
-    // Three 1,200-row hierarchies: n = 1,200^3 ~ 1.7e9 rows, ~55 GB of
-    // n-length vectors. The groups are only the 1,200 diagonal cells.
+  test("a 1,200^3 matrix with its 1,200 diagonal groups observed ranks without an n-length vector") {
+    // Three 1,200-row hierarchies: n = 1,200^3 ~ 1.7e9 rows, ~55 GB for y
+    // and three prediction vectors. The model holds the observed groups,
+    // the cluster terms (1,200^2 clusters) and the candidates' rows.
     val dims3 = Vector("a", "b", "c").map(a => Dimension(a, Vector(a)))
     val hiers = dims3.map(d => HierRelation(d.name, d.attrs, (0 until 1200).map(k => Seq(f"${d.name}$k%04d"))))
     val diagonal = Vector.fill(3)(Array.range(0, 1200))
-    val dd = new Drilldown(dims3.map(_ -> 1), hiers, diagonal, Vector.fill(1200)(GroupStats(1.0, 2.0, 0.0)),
-      Array.fill(1200)(2.0))
+    val stats = Vector.tabulate(1200)(k => GroupStats(1.0 + k % 3, 2.0 + k % 5, 0.0))
+    val dd = new Drilldown(dims3.map(_ -> 1), hiers, diagonal, stats, stats.map(_.sum).toArray)
+    assert(dd.n == 1728000000L)
+    val res = Reptile.rankDrilldown(dd, Map("a" -> "a0000", "b" -> "b0000"),
+      Complaint(AggType.Mean, Direction.TooHigh), Nil, cfg.copy(emIters = 2))
+    assert(res.candidates.size == 1200)
+    res.candidates.foreach(c => assert(java.lang.Double.isFinite(c.predicted("mean")), c))
+    val seen = res.candidates.filter(_.observed.count > 0)
+    assert(seen.map(_.values("c")) == Vector("c0000"))
+    assert(seen.head.repaired.mean == seen.head.predicted("mean"))
+  }
+
+  test("a drill-down whose matrix has more than Int.MaxValue rows fails naming n") {
+    // 1,300^3 = 2,197,000,000 rows: the row index of a group no longer fits an Int.
+    val dims3 = Vector("a", "b", "c").map(a => Dimension(a, Vector(a)))
+    val hiers = dims3.map(d => HierRelation(d.name, d.attrs, (0 until 1300).map(k => Seq(f"${d.name}$k%04d"))))
+    val dd = new Drilldown(dims3.map(_ -> 1), hiers, Vector.fill(3)(Array.range(0, 1300)),
+      Vector.fill(1300)(GroupStats(1.0, 2.0, 0.0)), Array.fill(1300)(2.0))
     val ex = intercept[IllegalArgumentException] {
-      Reptile.rankDrilldown(dd, Map("a" -> "a0000", "b" -> "b0000"), Complaint(AggType.Mean, Direction.TooHigh), Nil, cfg)
+      Reptile.rankDrilldown(dd, Map("a" -> "a0000", "b" -> "b0000"), Complaint(AggType.Count, Direction.TooHigh), Nil, cfg)
     }
-    assert(ex.getMessage.contains("n = 1728000000") && ex.getMessage.contains("bytes"), ex.getMessage)
+    assert(ex.getMessage.contains("2197000000"), ex.getMessage)
   }
 
   test("a null attribute value fails with an error naming the attribute") {

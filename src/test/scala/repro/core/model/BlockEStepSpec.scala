@@ -61,7 +61,8 @@ class BlockEStepSpec extends AnyFunSuite {
     var trRef = 0.0
     for (i <- 0 until g) {
       val (start, l) = fm.clusterRanges(i)
-      val zi = Mat.fromRows((0 until l).map(k => re.toSeq.map(j => fm.rowOf(start + k)(j))))
+      val x = new Array[Double](fm.m)
+      val zi = Mat.fromRows((0 until l).map { k => fm.row(start + k, x); re.toSeq.map(j => x(j)) })
       val gi = zi.t * zi
       val v = (gi * (1.0 / sigma2) + sigmaInv + Mat.eye(s) * lambda).inverse
       val mu = v.mv(zi.tmv(r.slice(start, start + l))).map(_ / sigma2)

@@ -9,7 +9,8 @@ import scala.util.Random
 
 /** The EM loop over y's statistics (X^T y, X_i^T y_i, the initial residual)
   * against the loop it replaced, which recomputed the n-length residual and
-  * X Z b with the backend's per-cluster products every iteration.
+  * X Z b with the backend's per-cluster products every iteration; and y
+  * given by its observed rows against the same y given at every row.
   */
 class EMStatisticsSpec extends AnyFunSuite {
 
@@ -118,6 +119,7 @@ class EMStatisticsSpec extends AnyFunSuite {
     def n: Int = bk.n
     def m: Int = bk.m
     def gram: Mat = counted("gram")(bk.gram)
+    def row(r: Int, out: Array[Double]): Int = counted("row")(bk.row(r, out))
     def xv(a: Array[Double]): Array[Double] = counted("xv")(bk.xv(a))
     def xtv(v: Array[Double]): Array[Double] = counted("xtv")(bk.xtv(v))
     def numClusters: Int = bk.numClusters
@@ -126,33 +128,76 @@ class EMStatisticsSpec extends AnyFunSuite {
     def clusterXa(as: Array[Double]): Array[Double] = counted("clusterXa")(bk.clusterXa(as))
   }
 
+  /** ~5% of `fm`'s rows observed around a default of 50 (a MEAN-like y),
+    * as its observed rows and as the same y at every row.
+    */
+  private def observed(fm: FactorizedMatrix, seed: Long): (ObservedY, Array[Double]) = {
+    val rng = new Random(seed)
+    val c = 50.0
+    val rows = (0 until fm.n).filter(_ => rng.nextDouble() < 0.05).toArray
+    val x = new Array[Double](fm.m)
+    val values = rows.map { r => fm.row(r, x); c + x.sum + rng.nextGaussian() }
+    val dense = Array.fill(fm.n)(c)
+    rows.indices.foreach(k => dense(rows(k)) = values(k))
+    (ObservedY(rows, values, c), dense)
+  }
+
   test("fit takes y's statistics once: no n-length product inside the EM loop") {
+    // y's rows are read in one pass, and a dense y's once more for the exact
+    // initial residual; no iteration reads a row.
     val fm = fixture(3)
     val y = synthY(fm, 1.0, 0.0, 13)
-    for (inner <- backends(fm); k <- Seq(1, 15)) {
+    val (sparse, _) = observed(fm, 23)
+    for (inner <- backends(fm); k <- Seq(1, 15); (obs, reads) <- Seq(ObservedY.dense(y) -> 2 * fm.n,
+        sparse -> sparse.rows.length)) {
       val bk = new CountingBackend(inner)
-      MultiLevelEM.fit(bk, y, k)
-      val what = s"${inner.getClass.getSimpleName}, $k iterations: ${bk.calls}"
-      assert(bk.calls("xtv") == 1, what)
-      assert(bk.calls("clusterXtv") == 1, what)
-      assert(bk.calls("xv") <= 1, what)
-      assert(bk.calls("clusterXa") == 0, what)
+      MultiLevelEM.fit(bk, obs, k, 1e-8, None)
+      val what = s"${inner.getClass.getSimpleName}, $k iterations, ${obs.rows.length} rows: ${bk.calls}"
+      assert(bk.calls("row") == reads, what)
+      assert(Seq("xtv", "clusterXtv", "xv", "clusterXa").forall(bk.calls(_) == 0), what)
       assert(bk.calls("gram") == 1 && bk.calls("blockGrams") == 1, what)
     }
   }
 
-  test("logLikelihood is one sweep: blockGrams and clusterXtv once, xv at most once") {
+  test("logLikelihood is one sweep: blockGrams once, y's rows read once, no n-length product") {
     val fm = fixture(4)
     val y = synthY(fm, 1.0, 0.0, 14)
-    for (inner <- backends(fm); re <- Seq(None, Some(Array(0)))) {
-      val fit = MultiLevelEM.fit(inner, y, 5, reCols = re)
+    val (sparse, _) = observed(fm, 24)
+    for (inner <- backends(fm); re <- Seq(None, Some(Array(0))); (obs, reads, grams) <- Seq(
+        (ObservedY.dense(y), 2 * fm.n, 0), (sparse, sparse.rows.length, 1))) {
+      val fit = MultiLevelEM.fit(inner, obs, 5, 1e-8, re)
       val bk = new CountingBackend(inner)
-      MultiLevelEM.logLikelihood(bk, y, fit)
-      val what = s"${inner.getClass.getSimpleName} ${re.fold("all columns")(_.mkString("reCols ", ",", ""))}: " +
-        bk.calls
-      assert(bk.calls("blockGrams") == 1 && bk.calls("clusterXtv") == 1, what)
-      assert(bk.calls("xv") <= 1, what)
-      assert(bk.calls("xtv") == 0 && bk.calls("gram") == 0 && bk.calls("clusterXa") == 0, what)
+      MultiLevelEM.logLikelihood(bk, obs, fit, 1e-8)
+      val what = s"${inner.getClass.getSimpleName} ${re.fold("all columns")(_.mkString("reCols ", ",", ""))}, " +
+        s"${obs.rows.length} rows: ${bk.calls}"
+      assert(bk.calls("blockGrams") == 1 && bk.calls("row") == reads, what)
+      // A sparse y's residual takes beta^T X^T X beta from the gram.
+      assert(bk.calls("gram") == grams, what)
+      assert(Seq("xtv", "clusterXtv", "xv", "clusterXa").forall(bk.calls(_) == 0), what)
+    }
+  }
+
+  test("y given by its observed rows and a default fits as the same y given at every row") {
+    for (seed <- 0 until 2) {
+      val fm = fixture(seed)
+      val (obs, dense) = observed(fm, seed + 30)
+      for (bk <- backends(fm); re <- Seq(None, Some(Array(0)))) {
+        val got = MultiLevelEM.fit(bk, obs, 20, 1e-8, re)
+        val want = MultiLevelEM.fit(bk, dense, 20, reCols = re)
+        val what = s"${bk.getClass.getSimpleName} seed $seed " + re.fold("all columns")(_.mkString("reCols ", ",", ""))
+        val (p, q) = (MultiLevelEM.predict(bk, got), MultiLevelEM.predict(bk, want))
+        p.indices.foreach(r => assert(math.abs(p(r) - q(r)) <= 1e-9 * math.abs(q(r)), s"row $r, $what"))
+        // At sampled rows, x_r^T beta + z_r^T b_i against X beta + Z b.
+        val padded = new Array[Double](bk.numClusters * bk.m)
+        for (i <- 0 until bk.numClusters; k <- got.reCols.indices)
+          padded(i * bk.m + got.reCols(k)) = got.bs(i * got.reCols.length + k)
+        val (xb, zb) = (bk.xv(got.beta), bk.clusterXa(padded))
+        val rng = new Random(seed)
+        val rows = Array.fill(40)(rng.nextInt(fm.n))
+        MultiLevelEM.predict(bk, got, rows).zip(rows).foreach { case (v, r) =>
+          assert(math.abs(v - (xb(r) + zb(r))) <= 1e-12 * math.abs(v), s"row $r, $what")
+        }
+      }
     }
   }
 }

@@ -6,7 +6,7 @@ import java.security.MessageDigest
 import org.apache.spark.sql.SparkSession
 import repro.core.fmatrix.{FactorizedMatrix, FeatureColumn}
 import repro.core.frep.HierRelation
-import repro.core.model.{DenseBackend, FactorizedBackend, MLBackend, MultiLevelEM}
+import repro.core.model.{DenseBackend, FactorizedBackend, MLBackend, MultiLevelEM, ObservedY}
 import repro.core.reptile._
 import repro.synth.{CovidSynth, DatasetSynth}
 import scala.util.Random
@@ -31,9 +31,10 @@ import scala.util.Random
   * on MetamorphicSpec's COMPAS-like fixture (the default configuration at
   * 12 EM iterations, every column random).
   *
-  * `--time k` also fits each factorised model k more times, and takes its
-  * log-likelihood k more times, and prints the median times to stdout; the
-  * file is unchanged.
+  * `--time k` also fits each factorised model k more times, from the dense
+  * y and from the same y as its observed rows (`ObservedY`, the entry the
+  * engine uses), takes its log-likelihood k more times, and prints the
+  * median times to stdout; the file is unchanged.
   */
 object FitDigest {
 
@@ -85,9 +86,12 @@ object FitDigest {
     // after its sweep, whose `logDets` branch the fits never take, the first
     // model's fits read 10-60% slower (4-core host, 3 runs).
     time("fit")(MultiLevelEM.fit(bk, y, 20, 1e-8, re))
-    out.println(s"logLikelihood ${hex(MultiLevelEM.logLikelihood(bk, y, fit))}")
-    out.println(s"aic ${hex(MultiLevelEM.aic(bk, y, fit))}")
-    time("logLikelihood")(MultiLevelEM.logLikelihood(bk, y, fit))
+    val rows = y.indices.filter(y(_) != 0.0).toArray
+    time(s"fit from the ${rows.length} observed rows")(
+      MultiLevelEM.fit(bk, ObservedY(rows, rows.map(y), 0.0), 20, 1e-8, re))
+    out.println(s"logLikelihood ${hex(MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), fit))}")
+    out.println(s"aic ${hex(MultiLevelEM.aic(bk, ObservedY.dense(y), fit))}")
+    time("logLikelihood")(MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), fit))
   }
 
   private def matrix(c: Cube): FactorizedMatrix = {
