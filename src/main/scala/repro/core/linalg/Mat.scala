@@ -156,19 +156,30 @@ object Mat {
     * outcome. Allocation-free — the dense EM baseline calls this once per
     * cluster per iteration.
     */
-  def eliminate(w: Array[Double], inv: Array[Double], n: Int): Boolean = {
+  def eliminate(w: Array[Double], inv: Array[Double], n: Int): Boolean = !eliminateLogDet(w, inv, n).isNaN
+
+  /** `eliminate`, returning log |det w| from its pivots (one `log` per
+    * call), or NaN where `eliminate` returns false.
+    */
+  def eliminateLogDet(w: Array[Double], inv: Array[Double], n: Int): Double = {
     var maxAbs = 0.0
     var k = 0
     while (k < n * n) { val v = math.abs(w(k)); if (v > maxAbs) maxAbs = v; k += 1 }
     val tiny = 1e-13 * maxAbs
+    // The pivots' product, folded into its log whenever it leaves
+    // [1e-200, 1e200]: no overflow, and one log for a well-scaled matrix.
+    var det = 1.0
+    var logDet = 0.0
     var col = 0
     while (col < n) {
       // pivot
       var p = col; var best = math.abs(w(col * n + col))
       var r = col + 1
       while (r < n) { val v = math.abs(w(r * n + col)); if (v > best) { best = v; p = r }; r += 1 }
-      if (!(best > tiny)) return false
+      if (!(best > tiny)) return Double.NaN
       if (p != col) { swapRows(w, n, p, col); swapRows(inv, n, p, col) }
+      det *= best
+      if (!(det >= 1e-200 && det <= 1e200)) { logDet += math.log(det); det = 1.0 }
       val piv = w(col * n + col)
       var j = 0
       while (j < n) { w(col * n + j) /= piv; inv(col * n + j) /= piv; j += 1 }
@@ -185,7 +196,7 @@ object Mat {
       }
       col += 1
     }
-    true
+    logDet + math.log(det)
   }
 
   /** Inverse with a small ridge on the diagonal — collinear feature columns
@@ -253,32 +264,12 @@ object Mat {
     if (diag > 0) diag / n else 1.0
   }
 
-  /** log|det| via LU with partial pivoting; requires a positive determinant
-    * in callers (used for Gaussian log-likelihoods on covariance matrices).
+  /** log |det m| (`eliminateLogDet` on a copy); NaN if m is singular to
+    * working precision.
     */
   def logDet(m: Mat): Double = {
     require(m.rows == m.cols, "logDet of non-square")
-    val n = m.rows
-    val w = m.a.clone()
-    var logdet = 0.0
-    var col = 0
-    while (col < n) {
-      var p = col; var best = math.abs(w(col * n + col))
-      var r = col + 1
-      while (r < n) { val v = math.abs(w(r * n + col)); if (v > best) { best = v; p = r }; r += 1 }
-      if (best < 1e-300) return Double.NegativeInfinity
-      if (p != col) swapRows(w, n, p, col)
-      val piv = w(col * n + col)
-      logdet += math.log(math.abs(piv))
-      r = col + 1
-      while (r < n) {
-        val f = w(r * n + col) / piv
-        if (f != 0.0) { var j = col; while (j < n) { w(r * n + j) -= f * w(col * n + j); j += 1 } }
-        r += 1
-      }
-      col += 1
-    }
-    logdet
+    eliminateLogDet(m.a.clone(), eye(m.rows).a, m.rows)
   }
 
   private def swapRows(a: Array[Double], n: Int, r1: Int, r2: Int): Unit = {

@@ -9,9 +9,13 @@ import repro.core.linalg.Mat
   * with Z_i = X_i[:, reCols] — the paper's tunable random-effect matrix
   * (Section 3.3.4); `reCols` defaults to all columns (Z_i = X_i).
   * `bs` holds the posterior means b_i in one flat buffer: b_i is
-  * `bs(i*s until (i+1)*s)` with s = reCols.length. `ridgeEscalations`
-  * counts the E-step inverses (one per parent block per iteration) that
-  * needed more than the base ridge.
+  * `bs(i*s until (i+1)*s)` with s = reCols.length. `iterations` counts
+  * the EM iterations run: the cap, or fewer once the fit converged.
+  * `ridgeEscalations` counts the E-step inverses (one per parent block per
+  * iteration) that needed more than the base ridge. `logLikelihoods(k)` is
+  * the marginal log-likelihood at the parameters after k iterations
+  * (k = 0: the OLS start), from the sweep of iteration k + 1; the last is
+  * one iteration behind the fit's parameters.
   */
 final case class MultiLevelFit(
     beta: Array[Double],
@@ -21,6 +25,7 @@ final case class MultiLevelFit(
     reCols: Array[Int],
     iterations: Int,
     ridgeEscalations: Int,
+    logLikelihoods: Array[Double],
 )
 
 /** y as its observed rows: `values(k)` at matrix row `rows(k)` (distinct),
@@ -102,8 +107,21 @@ private[model] final class YStats(bk: MLBackend, y: ObservedY) {
   *
   * Every floor and ridge is relative to the data it guards, so fitting
   * `c * y` gives `c *` the predictions of fitting `y`.
+  *
+  * `iters` is a cap. Each sweep also gives the marginal log-likelihood at
+  * the parameters it runs at (`logLikelihood`'s formula, with the loop's
+  * |r|^2), and the fit stops after the M-step of the sweep whose lnL moved
+  * by at most `Tolerance` per row from the sweep before. EM never lowers
+  * lnL, and lnL(c y) = lnL(y) - n log c, so the change per row is the same
+  * for `c * y` as for `y`; a change relative to lnL is not, and has no
+  * scale near lnL = 0. A sweep whose lnL is not finite never stops the fit.
   */
 object MultiLevelEM {
+
+  /** The per-row change of the log-likelihood between two sweeps at which
+    * a fit has converged: 1e-10 of a nat per row.
+    */
+  final val Tolerance = 1e-10
 
   def fit(
       bk: MLBackend,
@@ -138,14 +156,21 @@ object MultiLevelEM {
     var sigma2 = math.max(rr / bk.n, 1e-9 * yScale)
     var sigma = Mat.eye(s) * sigma2
     val bs = new Array[Double](g * s)
+    val lnL = Array.newBuilder[Double]
+    var prev = Double.NaN // the last sweep's lnL
 
     var it = 0
-    while (it < iters) {
+    var converged = false
+    while (it < iters && !converged) {
       // E-step: posterior means into bs, with the M-step's Sigma and trace
-      // terms, X^T Z b and b^T X^T y
+      // terms, X^T Z b, b^T X^T y and the log-likelihood at these parameters
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
       val old = ys.shifted(beta)
       val trAcc = est.run(ys.xiy, old, sigma2, sigmaInv.a, bs)
+      val ll = logLikelihood(bk.n, sigma2, rr, est)
+      converged = math.abs(ll - prev) <= Tolerance * bk.n
+      lnL += ll
+      prev = ll
 
       // M-step
       val xtrOld = sub(ys.xty, gram.mv(old)) // X^T r at the old beta
@@ -158,7 +183,7 @@ object MultiLevelEM {
       sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12 * yScale)
       it += 1
     }
-    MultiLevelFit(beta, sigma, sigma2, bs, re, iters, est.escalations)
+    MultiLevelFit(beta, sigma, sigma2, bs, re, it, est.escalations, lnL.result())
   }
 
   /** yhat = X beta + Z b (fixed + random effects) at every row. */
@@ -185,13 +210,16 @@ object MultiLevelEM {
     */
   def logLikelihood(bk: MLBackend, y: ObservedY, fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
     val sigmaInv = Mat.ridgeInverse(fit.sigma, ridge)
-    val est = new BlockEStep(bk.blockGrams, bk.m, fit.reCols, ridge, logDets = true)
+    val est = new BlockEStep(bk.blockGrams, bk.m, fit.reCols, ridge)
     val ys = new YStats(bk, y)
     val b = ys.shifted(fit.beta)
     est.run(ys.xiy, b, fit.sigma2, sigmaInv.a, new Array[Double](bk.numClusters * fit.reCols.length))
-    val rr = ys.rss(b, bk.gram)
-    -0.5 * (bk.n * math.log(2 * math.Pi * fit.sigma2) + est.logDetWP + (rr - est.muXtr) / fit.sigma2)
+    logLikelihood(bk.n, fit.sigma2, ys.rss(b, bk.gram), est)
   }
+
+  /** lnL after `est`'s sweep at sigma2, with rr = |y - X beta|^2. */
+  private def logLikelihood(n: Int, sigma2: Double, rr: Double, est: BlockEStep): Double =
+    -0.5 * (n * math.log(2 * math.Pi * sigma2) + est.logDetWP + (rr - est.muXtr) / sigma2)
 
   /** AIC = 2k - 2 lnL; k = fixed effects + Sigma parameters + sigma2. */
   def aic(bk: MLBackend, y: ObservedY, fit: MultiLevelFit, ridge: Double = 1e-8): Double = {
@@ -309,11 +337,17 @@ private object Chunks {
   *  - G_i b~_i is u_i (len_b u_i^T b~_i + s_b^T b~_i) per cluster, plus
   *    D_b sum_{i in b} b~_i + s_b sum_{i in b} u_i^T b~_i per block.
   *
-  * With `logDets` (the log-likelihood; a fit's sweeps leave it off) the
-  * sweep also sums log det W_i - log det P_b, P_b = Sigma^{-1} + lambda_b I.
-  * By the determinant lemma, with det(C_b / sigma2) = -1 / sigma2^2, a
-  * cluster of a rank-2 block has log det W_i = log det A_b + log(-det K) -
-  * 2 log sigma2, others log det A_b; log det A_b and log det P_b are per block.
+  * For the log-likelihood the sweep also sums log det W_i - log det P_b,
+  * P_b = Sigma^{-1} + lambda_b I. By the determinant lemma, with
+  * det(C_b / sigma2) = -1 / sigma2^2, a cluster of a rank-2 block has
+  * log det W_i = log det A_b + log(-det K) - 2 log sigma2, others
+  * log det A_b. log det A_b comes from the pivots of A_b's inverse,
+  * log det P_b once per ridge (one s x s elimination a sweep unless a
+  * block escalates), and log(-det K) is one `log` per cluster. A running
+  * product of the -det K, folded into its log when it left [1e-200, 1e200],
+  * would save the `log`, but only some fits take the fold (COUNT y on
+  * `sparse-cube`, not MEAN y), and the first to take it recompiled
+  * `cluster` in the middle of a fit.
   *
   * `run` is one block loop (A_b^{-1}, t_b, D_b beta, s_b^T beta), one
   * cluster loop and one block loop (S, the trace, X^T Z b's block terms),
@@ -322,7 +356,7 @@ private object Chunks {
   * waiting for an on-stack replacement of the loops; buffers are reused
   * across calls.
   */
-private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double, logDets: Boolean = false) {
+private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Double) {
   private val s = re.length
   private val ss = s * s
   private val nb = bg.numBlocks
@@ -363,7 +397,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   private val qB = new Array[Double](r2)
   private val bSum = new Array[Double](nb * s)
   private val ubSum = new Array[Double](r2)
-  private val logDetAP = new Array[Double](if (logDets) nb else 0) // log det A_b - log det P_b
+  private val logDetA = new Array[Double](nb)
   /** Block inverses so far that needed more than the base ridge. */
   var escalations = 0
   /** After `run`: sum_i (V_i + mu_i mu_i^T). */
@@ -374,7 +408,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   var bty = 0.0
   /** After `run`: sum_i mu_i^T Z_i^T r_i. */
   var muXtr = 0.0
-  /** After `run` with `logDets`: sum_i (log det W_i - log det P_b). */
+  /** After `run`: sum_i (log det W_i - log det P_b). */
   var logDetWP = 0.0
   private val chunks = new Chunks(bg)
 
@@ -394,7 +428,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     var by = 0.0    // sum_i b~_i^T X_i^T y_i
     var muWmu = 0.0 // sum_i sigma2 mu_i^T W_i mu_i
     var tr = 0.0
-    var logDetK = 0.0 // sum_i log(-det K), with `logDets`
+    var logDetK = 0.0 // sum_i log(-det K)
     var escalations = 0
     val wBuf = new Array[Double](ss)
     val invBuf = new Array[Double](ss)
@@ -406,7 +440,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
 
   /** One sweep at the fixed effects `beta`: writes every cluster's
     * posterior mean into `mu` (flat, s per cluster), fills `sigAcc`, `xtzb`,
-    * `bty`, `muXtr` (and `logDetWP`), and returns
+    * `bty`, `muXtr` and `logDetWP`, and returns
     * sum_i Tr(G_i (V_i + mu_i mu_i^T)). `xiy` holds X_i^T y_i, m per cluster.
     */
   def run(xiy: Array[Double], beta: Array[Double], sigma2: Double, sigmaInv: Array[Double],
@@ -446,13 +480,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       c += 1
     }
     bty = by
-    if (logDets) {
-      var ld = if (rank2) -2.0 * blockOf.length * math.log(sigma2) else 0.0
-      parts.foreach(ld += _.logDetK)
-      var b = 0
-      while (b < nb) { ld += cnt(b) * logDetAP(b); b += 1 }
-      logDetWP = ld
-    }
+    logDetWP = logDets(sigma2, sigmaInv)
     zero(sigAcc)
     chunks.blocks { (c, from, until) =>
       val p = parts(c)
@@ -477,6 +505,24 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
   }
 
   private def zero(as: Array[Double]*): Unit = as.foreach(java.util.Arrays.fill(_, 0.0))
+
+  /** sum_i (log det W_i - log det P_b) from the cluster loop's log(-det K)
+    * and the block loop's log det A_b; log det P_b once per run of blocks
+    * with the same ridge.
+    */
+  private def logDets(sigma2: Double, sigmaInv: Array[Double]): Double = {
+    var ld = if (rank2) -2.0 * blockOf.length * math.log(sigma2) else 0.0
+    parts.foreach(ld += _.logDetK)
+    var lam = Double.NaN
+    var logDetP = 0.0
+    var b = 0
+    while (b < nb) {
+      if (lambda(b) != lam) { lam = lambda(b); logDetP = Mat.logDet(new Mat(s, s, sigmaInv) + Mat.eye(s) * lam) }
+      ld += cnt(b) * (logDetA(b) - logDetP)
+      b += 1
+    }
+    ld
+  }
 
   /** Adds block b's sum_{i in b} (V_i + mu_i mu_i^T) to `sig`; returns
     * its sum of s - Tr((Sigma^{-1} + lambda_b I)(V_i + mu_i mu_i^T)).
@@ -531,7 +577,8 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       var d = 0
       while (d < s) { wBuf(d * s + d) += lam; invBuf(d * s + d) = 1.0; d += 1 }
       System.arraycopy(wBuf, 0, aB, off, ss)
-      ok = Mat.eliminate(wBuf, invBuf, s)
+      logDetA(b) = Mat.eliminateLogDet(wBuf, invBuf, s)
+      ok = !logDetA(b).isNaN
       if (!ok) lam *= 1e3
       attempt += 1
     }
@@ -539,8 +586,6 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
     if (attempt > 1) p.escalations += 1
     System.arraycopy(invBuf, 0, aInv, off, ss)
     lambda(b) = lam
-    if (logDets)
-      logDetAP(b) = -Mat.logDet(new Mat(s, s, invBuf)) - Mat.logDet(Mat.eye(s) * lam + new Mat(s, s, sigmaInv))
     if (rank2) {
       var st = 0.0
       var j = 0
@@ -625,7 +670,7 @@ private final class BlockEStep(bg: BlockGrams, m: Int, re: Array[Int], ridge: Do
       val k12 = sigma2 + ut
       val k22 = stb(b) - len(b) * sigma2
       val det = k11 * k22 - k12 * k12
-      if (logDets) p.logDetK += math.log(-det)
+      p.logDetK += math.log(-det)
       i11 = k22 / det
       val i12 = -k12 / det; val i22 = k11 / det
       val c1 = i11 * pa + i12 * q

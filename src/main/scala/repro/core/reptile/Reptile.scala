@@ -23,6 +23,9 @@ object StatKind {
 }
 
 final case class ReptileConfig(
+    /** The cap on EM iterations: a fit stops earlier once its marginal
+      * log-likelihood stops rising (`MultiLevelEM.Tolerance`).
+      */
     emIters: Int = 20,
     multiLevel: Boolean = true,
     /** Model log1p-transformed statistics (variance stabilization for

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.fmatrix.FactorizedMatrix
-import repro.core.model.{DenseBackend, FactorizedBackend, MultiLevelEM}
+import repro.core.model.{DenseBackend, FactorizedBackend, MLBackend, MultiLevelEM}
 import repro.core.reptile._
 
 /** Figure 10: end-to-end runtime on Absentee-like and COMPAS-like data.
@@ -11,13 +11,16 @@ import repro.core.reptile._
   * Spark side (group statistics + featurization) is shared; the model side
   * is timed twice — Reptile's factorised pipeline vs the "Matlab" pipeline
   * that materializes the full feature matrix and trains with dense ops.
-  * Both run the same 20 EM iterations; only the matrix representation
-  * differs, as in the paper.
+  * The factorised fit runs EM to convergence under a cap of `emIters`, and
+  * the dense fit's cap is the iterations the factorised fit ran, so both
+  * time the same EM work; only the matrix representation differs, as in
+  * the paper.
   */
 object EndToEndExp {
 
   final case class E2ERow(dataset: String, invocation: Int, target: String, n: Int, m: Int,
-                          clusters: Int, sparkMs: Double, reptileMs: Double, matlabMs: Double)
+                          clusters: Int, sparkMs: Double, reptileMs: Double, matlabMs: Double,
+                          reptileIters: Int, matlabIters: Int)
 
   final case class Setup(name: String, fact: SparkSession => DataFrame,
                          dims: Vector[Dimension], drillOrder: Vector[String], measure: String)
@@ -77,24 +80,28 @@ object EndToEndExp {
       // Matlab) with a GC before every run, and keeps its faster run: heap
       // pressure from the surrounding Spark jobs, JIT compilation of the
       // shared EM code and slow stretches of the host then land on both
-      // pipelines instead of on whichever runs first.
-      def reptileRun(): Double = Timing.ms {
-        val bk = new FactorizedBackend(fm)
-        MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge, None), candidateRows)
-      }._2
-      def matlabRun(): Double = Timing.ms {
-        val bk = new DenseBackend(fm.materialize, fm.clusterRanges)
-        MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge, None), candidateRows)
-      }._2
+      // pipelines instead of on whichever runs first. A run returns the
+      // iterations its fit ran and its time.
+      def pipelineRun(backend: => MLBackend, cap: Int): (Int, Double) = Timing.ms {
+        val bk = backend
+        val fit = MultiLevelEM.fit(bk, y, cap, cfg.ridge, None)
+        MultiLevelEM.predict(bk, fit, candidateRows)
+        fit.iterations
+      }
       var fitMs, matlabMs = Double.PositiveInfinity
+      var reptileIters, matlabIters = 0
       for (_ <- 1 to 2) {
-        System.gc(); fitMs = math.min(fitMs, reptileRun())
-        System.gc(); matlabMs = math.min(matlabMs, matlabRun())
+        System.gc()
+        val (ri, rt) = pipelineRun(new FactorizedBackend(fm), cfg.emIters)
+        reptileIters = ri; fitMs = math.min(fitMs, rt)
+        System.gc()
+        val (mi, mt) = pipelineRun(new DenseBackend(fm.materialize, fm.clusterRanges), reptileIters)
+        matlabIters = mi; matlabMs = math.min(matlabMs, mt)
       }
       val reptileMs = fmBuildMs + fitMs
 
       rows += E2ERow(setup.name, inv + 1, targetName, fm.n, fm.m, fm.numClusters,
-        sparkMs, reptileMs, matlabMs)
+        sparkMs, reptileMs, matlabMs, reptileIters, matlabIters)
 
       // ---- drill: fix the target's new attribute to a concrete group ----
       // deterministic stand-in for the paper's "return a random group":
@@ -109,10 +116,11 @@ object EndToEndExp {
 
   def printRows(rows: Seq[E2ERow]): Unit = {
     Timing.printTable("Figure 10: end-to-end runtime (per invocation)",
-      Seq("dataset", "inv", "target", "n", "clusters", "spark_ms", "reptile_ms", "matlab_ms", "speedup"),
+      Seq("dataset", "inv", "target", "n", "clusters", "spark_ms", "reptile_ms", "matlab_ms", "speedup",
+        "reptile_iters", "matlab_iters"),
       rows.map(r => Seq(r.dataset, r.invocation.toString, r.target, r.n.toString, r.clusters.toString,
         Timing.f1(r.sparkMs), Timing.f1(r.reptileMs), Timing.f1(r.matlabMs),
-        Timing.f2(r.matlabMs / r.reptileMs) + "x")))
+        Timing.f2(r.matlabMs / r.reptileMs) + "x", r.reptileIters.toString, r.matlabIters.toString)))
     rows.groupBy(_.dataset).foreach { case (ds, rs) =>
       val rSum = rs.map(_.reptileMs).sum; val mSum = rs.map(_.matlabMs).sum
       println(f"$ds totals: reptile ${rSum}%.1f ms  matlab ${mSum}%.1f ms  speedup ${mSum / rSum}%.2fx " +

@@ -132,17 +132,80 @@ class MultiLevelEMSpec extends SparkSpec {
   }
 
   test("fitting c * y predicts c times the fit of y (scale equivariance)") {
+    // With a cap of 20 the intercept-only fit stops on its own (at 10) and
+    // the all-column one runs to the cap: c * y must stop where y does.
     val fm = fixture(nT = 8, seed = 25)
     assert(fm.n == 120 && fm.m == 4)
     val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 26)
     val bk = new FactorizedBackend(fm)
-    for (re <- Seq(None, Some(Array(0)))) {
-      val base = MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, 10, reCols = re))
+    for ((re, iters) <- Seq(None -> 20, Some(Array(0)) -> 10)) {
+      val fit = MultiLevelEM.fit(bk, y, 20, reCols = re)
+      assert(fit.iterations == iters)
+      val base = MultiLevelEM.predict(bk, fit)
       val norm = base.map(math.abs).max
       for (c <- Seq(1e-6, 1e-3, 1e3, 1e6)) {
-        val scaled = MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y.map(_ * c), 10, reCols = re))
+        val scaledFit = MultiLevelEM.fit(bk, y.map(_ * c), 20, reCols = re)
+        val what = s"c=$c reCols=${re.map(_.mkString(",")).getOrElse("all")}"
+        assert(scaledFit.iterations == fit.iterations, what)
+        val scaled = MultiLevelEM.predict(bk, scaledFit)
         val err = scaled.zip(base).map { case (p, q) => math.abs(p / c - q) }.max
-        assert(err <= 1e-6 * norm, s"c=$c reCols=${re.map(_.mkString(",")).getOrElse("all")}: error $err")
+        assert(err <= 1e-6 * norm, s"$what: error $err")
+      }
+    }
+  }
+
+  test("the fit's log-likelihood path is logLikelihood at each iteration's parameters") {
+    val cases = Seq(
+      ("time x geo", fixture(seed = 52), Array(1.0, 0.5, -0.3, 0.8), Seq(Array(0, 1, 2, 3), Array(0), Array(0, 3))),
+      ("three hierarchies", threeHierarchies(53), Array(1.0, 0.5, -0.3, 0.8, 0.2, -0.4),
+        Seq(Array.range(0, 6), Array(0), Array(2, 5))))
+    for ((name, fm, beta, res) <- cases) {
+      val y = synthY(fm, beta, reSd = 0.6, noiseSd = 0.3, seed = 62)
+      for (re <- res; bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
+        val fit = MultiLevelEM.fit(bk, y, 12, reCols = Some(re))
+        assert(fit.logLikelihoods.length == fit.iterations)
+        fit.logLikelihoods.zipWithIndex.foreach { case (got, k) =>
+          // A fit capped at k stops at the parameters the k+1-th sweep ran at.
+          val want = MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), MultiLevelEM.fit(bk, y, k, reCols = Some(re)))
+          assert(math.abs(got - want) <= 1e-9 * math.abs(want),
+            s"$name ${bk.getClass.getSimpleName} reCols ${re.mkString(",")} iteration $k: $got vs $want")
+        }
+      }
+    }
+  }
+
+  test("EM stops once the log-likelihood stops rising: a higher cap changes nothing") {
+    // Intercept-only random effects converge in ~10 iterations here.
+    for (seed <- 0 until 3) {
+      val fm = fixture(nT = 8, seed = 70 + seed)
+      val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 80 + seed)
+      for (bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
+        val what = s"${bk.getClass.getSimpleName} seed $seed"
+        val f20 = MultiLevelEM.fit(bk, y, 20, reCols = Some(Array(0)))
+        val f200 = MultiLevelEM.fit(bk, y, 200, reCols = Some(Array(0)))
+        assert(f20.iterations < 20, what)
+        val ll = f20.logLikelihoods
+        assert(math.abs(ll.last - ll(ll.length - 2)) <= MultiLevelEM.Tolerance * fm.n, what)
+        assert(f200.iterations == f20.iterations, what)
+        assert(Seq(f200.beta -> f20.beta, f200.sigma.a -> f20.sigma.a, f200.bs -> f20.bs,
+          f200.logLikelihoods -> ll, Array(f200.sigma2) -> Array(f20.sigma2)).forall { case (a, b) => a.sameElements(b) },
+          what)
+      }
+    }
+  }
+
+  test("a fit whose log-likelihood still rises runs to its cap") {
+    // With every column random, EM creeps toward the variances of the
+    // columns without cluster-level signal: lnL still rises at 200.
+    for (seed <- 0 until 3) {
+      val fm = fixture(nT = 8, seed = 70 + seed)
+      val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 80 + seed)
+      for (bk <- Seq(new FactorizedBackend(fm), dense(fm)); cap <- Seq(1, 2, 20)) {
+        val fit = MultiLevelEM.fit(bk, y, cap)
+        val what = s"${bk.getClass.getSimpleName} seed $seed cap $cap"
+        assert(fit.iterations == cap, what)
+        val ll = fit.logLikelihoods
+        (1 until ll.length).foreach(k => assert(ll(k) - ll(k - 1) > MultiLevelEM.Tolerance * fm.n, s"$what, iteration $k"))
       }
     }
   }

@@ -17,24 +17,25 @@ import scala.util.Random
   *
   *   sbt "Test/runMain repro.tools.FitDigest digest.txt"
   *
-  * Fits (20 iterations, all-column and intercept-only random effects):
+  * Fits (a cap of 20 iterations, all-column and intercept-only random
+  * effects):
   *  - factorised, at the sparse-cube benchmark's shape: n = 633,600 in
   *    52,800 clusters, one parent block, m = 6;
   *  - factorised, a 3-block variant: 158,400 clusters, m = 7;
   *  - dense and factorised, at a shape a materialized matrix fits: n = 8,640
   *    in 1,440 clusters (two chunks of the E-step), m = 7.
-  * Each prints beta, Sigma, sigma2 and the escalation count in hex, the
-  * length and SHA-256 of the bits of `bs` and of the predictions, and the
-  * marginal log-likelihood and AIC in hex. Then
+  * Each prints the iterations run; beta, Sigma, sigma2 and the escalation
+  * count in hex; the length and SHA-256 of the bits of `bs` and of the
+  * predictions; and the marginal log-likelihood and AIC in hex. Then
   * every candidate's score, residual and predictions in the 16 US COVID
   * rankings (CovidExp's configuration), and in a COUNT and a MEAN ranking
   * on MetamorphicSpec's COMPAS-like fixture (the default configuration at
   * 12 EM iterations, every column random).
   *
-  * `--time k` also fits each factorised model k more times, from the dense
-  * y and from the same y as its observed rows (`ObservedY`, the entry the
-  * engine uses), takes its log-likelihood k more times, and prints the
-  * median times to stdout; the file is unchanged.
+  * `--time k` also fits each model k more times, from the dense y and
+  * from the same y as its observed rows (`ObservedY`, the entry the engine
+  * uses), takes its log-likelihood k more times, and prints the median
+  * times and the fit's iterations to stdout; the file is unchanged.
   */
 object FitDigest {
 
@@ -61,8 +62,7 @@ object FitDigest {
         else Seq(new FactorizedBackend(fm))
       for (bk <- backends; re <- Seq(None, Some(Array(0))))
         fitDigest(out, s"$name ${bk.getClass.getSimpleName} n=${fm.n} clusters=${fm.numClusters} m=${fm.m} " +
-          re.fold("all columns")(_.mkString("reCols ", ",", "")), bk, y, re,
-          if (bk.isInstanceOf[FactorizedBackend]) timeReps else 0)
+          re.fold("all columns")(_.mkString("reCols ", ",", "")), bk, y, re, timeReps)
     }
     covid(out)
   }
@@ -71,6 +71,7 @@ object FitDigest {
                         reps: Int): Unit = {
     val fit = MultiLevelEM.fit(bk, y, 20, 1e-8, re)
     out.println(s"== $what")
+    out.println(s"iterations ${fit.iterations}")
     out.println(s"beta ${hex(fit.beta)}")
     out.println(s"sigma ${hex(fit.sigma.a)}")
     out.println(s"sigma2 ${hex(fit.sigma2)}")
@@ -79,12 +80,9 @@ object FitDigest {
     out.println(s"predictions ${digest(MultiLevelEM.predict(bk, fit))}")
     def time(task: String)(f: => Unit): Unit = if (reps > 0) {
       val ms = (0 until reps).map { _ => val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e6 }
-      println(f"[time] $what $task: median ${ms.sorted.apply(reps / 2)}%.1f ms of $reps, in order " +
-        ms.map(v => f"$v%.0f").mkString(" "))
+      println(f"[time] $what $task (${fit.iterations} iterations): median ${ms.sorted.apply(reps / 2)}%.1f ms " +
+        f"of $reps, in order " + ms.map(v => f"$v%.0f").mkString(" "))
     }
-    // The fits are timed before this model's log-likelihood runs: timed
-    // after its sweep, whose `logDets` branch the fits never take, the first
-    // model's fits read 10-60% slower (4-core host, 3 runs).
     time("fit")(MultiLevelEM.fit(bk, y, 20, 1e-8, re))
     val rows = y.indices.filter(y(_) != 0.0).toArray
     time(s"fit from the ${rows.length} observed rows")(
