@@ -3,8 +3,8 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp._
 
-/** Figures 7, 15, 9: driver-side factorised matrix operation and
-  * drill-down maintenance benchmarks (no Spark jobs involved).
+/** Figures 7 and 15: driver-side factorised matrix operation benchmarks
+  * (no Spark jobs involved).
   */
 class MatrixOpsBench extends SparkSpec {
 
@@ -34,10 +34,16 @@ class MatrixOpsBench extends SparkSpec {
     val d6 = rows.filter(_.d == 6).map(r => r.op -> r).toMap
     assert(d6("clusterGram").speedup > 1.5, s"cluster gram speedup ${d6("clusterGram").speedup}")
   }
+}
+
+/** Figure 9: the engine's drill-down data step per candidate, against a
+  * `ReptileSession` per invocation and one for all invocations.
+  */
+class DrilldownBench extends SparkSpec {
 
   test("Figure 9: drill-down optimization strategies") {
-    DrilldownExp.run(bDepths = Seq(3), leaves = 10000) // JIT warmup
-    val rows = DrilldownExp.run(bDepths = Seq(3, 4, 5), leaves = 100000)
+    DrilldownExp.run(spark, bDepths = Seq(3), leaves = 10000) // JIT warmup
+    val rows = DrilldownExp.run(spark, bDepths = Seq(3, 4, 5), leaves = 100000)
     DrilldownExp.printRows(rows)
     def total(s: String): Double = rows.filter(_.strategy == s).map(r => r.evalAMs + r.evalBMs).sum
     assert(total("Dynamic") < total("Static"),

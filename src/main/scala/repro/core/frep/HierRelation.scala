@@ -76,15 +76,6 @@ final class HierRelation private[core] (
   val parentBlocks: Vector[(Int, Int)] =
     if (depth == 1) Vector((0, total)) else segments(depth - 2).map(s => (s.start, s.len))
 
-  /** Distinct prefixes of the first `d` attributes, as a new relation: the
-    * first row of each run of `A_d`, already sorted and distinct.
-    */
-  def truncate(d: Int): HierRelation = {
-    require(d >= 1 && d <= attrs.size, s"bad truncate depth $d for $dim")
-    if (d == attrs.size) this
-    else new HierRelation(dim, attrs.take(d), segments(d - 1).map(s => rows(s.start).take(d)))
-  }
-
   lazy val indexByRow: Map[Vector[String], Int] = rows.zipWithIndex.toMap
 
   def rowIndexOf(tuple: Seq[String]): Int =

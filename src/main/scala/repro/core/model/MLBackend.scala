@@ -34,14 +34,18 @@ trait MLBackend {
   /** Streams X_i^T X_i for every cluster i, one dense m x m matrix at a
     * time (Figure 15, tests), expanded from `blockGrams`:
     *   G_i = D_b + u_i (len_b u_i^T + s_b^T) + s_b u_i^T.
+    * Every cluster's gram is written into one buffer, so the `Mat` passed
+    * to `f` is valid only inside that call.
     */
   final def foreachClusterGram(f: (Int, Mat) => Unit): Unit = {
     val bg = blockGrams
     val c = new Array[Double](m)
+    val g = new Array[Double](m * m)
+    val gram = new Mat(m, m, g)
     var i = 0
     while (i < numClusters) {
       val b = bg.blockOf(i)
-      val g = bg.d(b).clone()
+      System.arraycopy(bg.d(b), 0, g, 0, m * m)
       if (bg.rank2) {
         val s = bg.s(b); val len = bg.len(b)
         var k = 0
@@ -54,7 +58,7 @@ trait MLBackend {
           j += 1
         }
       }
-      f(i, new Mat(m, m, g))
+      f(i, gram)
       i += 1
     }
   }

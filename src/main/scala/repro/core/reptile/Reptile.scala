@@ -165,69 +165,99 @@ object Drilldown {
   }
 
   /** Reads merged group buffers: `b`'s keys hold the values of
-    * `attrsOf(used)`, of Spark types `types`, written here as
-    * `Row.get(i).toString` would write them. A group reports Spark's
-    * statistics: `count(1)`, `avg` (sum / n), `stddev_samp` (0 for one
-    * value) and `sum`. No groups means an empty fact table, which has
-    * nothing to rank. A null attribute value is rejected, naming the
-    * attribute; a null measure would make count x mean overstate the
-    * group's sum, and a NaN or infinite one would make its statistics NaN,
-    * so either is rejected, naming `measure`.
-    *
-    * Each attribute's values get dense codes in `String` order, each value
-    * written once. A hierarchy's rows are then its groups' distinct code
-    * tuples, ranked one attribute at a time, so they come out in the order
-    * `HierRelation.apply` sorts string tuples by.
+    * `attrsOf(used)`, of Spark types `types`. Its three steps are those a
+    * `ReptileSession` reuses: `code`, `hierarchy` and `assemble`.
     */
   private[reptile] def fromBuffers(used: Vector[(Dimension, Int)], b: GroupBuffers, types: Seq[DataType],
                                    measure: String): Drilldown = {
-    val attrs = attrsOf(used)
-    if (b.groups == 0)
-      throw new IllegalArgumentException(s"the fact table has no rows to group by ${attrs.mkString("(", ", ", ")")}")
-    val toScala = types.map(CatalystTypeConverters.createToScalaConverter)
+    val coded = code(b, types)
+    coded.requireGroups(attrsOf(used))
+    val offsets = used.scanLeft(0)(_ + _._2)
+    val (hiers, groupRows) =
+      used.indices.map(h => hierarchy(used(h)._1, used(h)._2, coded.select(offsets(h) until offsets(h + 1)))).unzip
+    assemble(used, hiers.toVector, groupRows.toVector, b, measure)
+  }
+
+  /** Codes the values in `b`'s keys, of Spark types `types`, densely in
+    * `String` order, each written once as `Row.get(i).toString` would
+    * write it. Two Spark values may print alike; they then share a code.
+    */
+  private[reptile] def code(b: GroupBuffers, types: Seq[DataType]): Coded = {
     val keys = Array.tabulate(b.groups)(b.key)
-    def keyString(g: Int): String =
-      attrs.indices.map(i => toScala(i)(keys(g).get(i, types(i)))).mkString("(", ", ", ")")
-    keys.indices.foreach { g =>
-      attrs.indices.foreach(i => HierRelation.requireValue(!keys(g).isNullAt(i), attrs(i)))
+    val (codes, values, firstNull) = types.indices.map { i =>
+      val toScala = CatalystTypeConverters.createToScalaConverter(types(i))
+      val seen = new java.util.HashMap[AnyRef, Integer]()
+      val printed = scala.collection.mutable.ArrayBuffer.empty[String]
+      val local = keys.map(k => if (k.isNullAt(i)) -1 else seen.computeIfAbsent(k.get(i, types(i)), v => {
+        printed += toScala(v).toString
+        printed.size - 1
+      }).intValue)
+      val sorted = printed.distinct.sorted.toArray
+      val rank = printed.map(sorted.search(_).insertionPoint)
+      (local.map(c => if (c < 0) c else rank(c)), sorted, local.indexOf(-1))
+    }.unzip3
+    Coded(b.groups, codes, values, firstNull)
+  }
+
+  /** Hierarchy `d` at depth `dep` over groups coded by its attributes:
+    * its relation, and each group's row in it. The rows are the groups'
+    * distinct code tuples, ranked one attribute at a time, so they come
+    * out in the order `HierRelation.apply` sorts string tuples by.
+    */
+  private[reptile] def hierarchy(d: Dimension, dep: Int, coded: Coded): (HierRelation, Array[Int]) = {
+    val Coded(_, codes, values, _) = coded
+    // Rank each group's prefix of the first j attributes among the
+    // distinct prefixes, for j = 1 .. dep: (rank, code) pairs sort as
+    // the prefixes extended by one attribute do.
+    val row = (1 until dep).foldLeft(codes(0)) { (prefix, i) =>
+      val pair = Array.tabulate(prefix.length)(g => prefix(g).toLong * values(i).length + codes(i)(g))
+      val ranked = pair.distinct.sorted
+      pair.map(java.util.Arrays.binarySearch(ranked, _))
+    }
+    val carrier = new Array[Int](row.max + 1)
+    row.indices.foreach(g => carrier(row(g)) = g)
+    val tuples = Vector.tabulate(carrier.length)(r => (0 until dep).map(i => values(i)(codes(i)(carrier(r)))).toVector)
+    (new HierRelation(d.name, d.attrs.take(dep), tuples), row)
+  }
+
+  /** The drill-down whose group `g` has `b`'s buffers of group `g` and is
+    * row `groupRows(h)(g)` of hierarchy `h`. A group reports Spark's
+    * statistics: `count(1)`, `avg` (sum / n), `stddev_samp` (0 for one
+    * value) and `sum`. A null measure would make count x mean overstate the
+    * group's sum, and a NaN or infinite one would make its statistics NaN,
+    * so either is rejected, naming `measure` and the first such group.
+    */
+  private[reptile] def assemble(used: Vector[(Dimension, Int)], hiers: Vector[HierRelation],
+                                groupRows: Vector[Array[Int]], b: GroupBuffers, measure: String): Drilldown = {
+    def keyString(g: Int): String = hiers.indices.flatMap(h => hiers(h).rows(groupRows(h)(g))).mkString("(", ", ", ")")
+    (0 until b.groups).foreach { g =>
       val nulls = b.rows(g) - b.n(g).toLong
       if (nulls > 0)
         throw new IllegalArgumentException(s"measure $measure is null in $nulls rows of group ${keyString(g)}")
       if (!java.lang.Double.isFinite(b.mean(g)))
         throw new IllegalArgumentException(s"measure $measure is NaN or infinite in group ${keyString(g)}")
     }
-    // Per attribute: each group's code and each code's value. Two Spark
-    // values may print alike; they then share a code.
-    val (codes, values) = attrs.indices.map { i =>
-      val seen = new java.util.HashMap[AnyRef, Integer]()
-      val printed = scala.collection.mutable.ArrayBuffer.empty[String]
-      val local = keys.map(k => seen.computeIfAbsent(k.get(i, types(i)), v => {
-        printed += toScala(i)(v).toString
-        printed.size - 1
-      }).intValue)
-      val sorted = printed.distinct.sorted.toArray
-      val rank = printed.map(sorted.search(_).insertionPoint)
-      (local.map(rank), sorted)
-    }.unzip
-    val offsets = used.scanLeft(0)(_ + _._2)
-    val (hiers, groupRows) = used.indices.map { h =>
-      val (d, dep) = used(h)
-      val cols = offsets(h) until offsets(h + 1)
-      // Rank each group's prefix of the first j attributes among the
-      // distinct prefixes, for j = 1 .. dep: (rank, code) pairs sort as
-      // the prefixes extended by one attribute do.
-      val row = cols.tail.foldLeft(codes(cols.head)) { (prefix, i) =>
-        val pair = Array.tabulate(prefix.length)(g => prefix(g).toLong * values(i).length + codes(i)(g))
-        val ranked = pair.distinct.sorted
-        pair.map(java.util.Arrays.binarySearch(ranked, _))
-      }
-      val carrier = new Array[Int](row.max + 1)
-      row.indices.foreach(g => carrier(row(g)) = g)
-      val tuples = Vector.tabulate(carrier.length)(r => cols.map(i => values(i)(codes(i)(carrier(r)))).toVector)
-      (new HierRelation(d.name, d.attrs.take(dep), tuples), row)
-    }.unzip
-    new Drilldown(used, hiers.toVector, groupRows.toVector,
-      keys.indices.map(g => GroupStats(b.rows(g).toDouble, b.mean(g), b.std(g))).toVector, Array.tabulate(b.groups)(b.sum))
+    new Drilldown(used, hiers, groupRows,
+      Vector.tabulate(b.groups)(g => GroupStats(b.rows(g).toDouble, b.mean(g), b.std(g))), Array.tabulate(b.groups)(b.sum))
+  }
+}
+
+/** Attribute values over `groups` groups: group `g`'s value of attribute
+  * `i` is `values(i)(codes(i)(g))`, or null where the code is -1, first
+  * in group `firstNull(i)` (-1 if never).
+  */
+private[reptile] final case class Coded(groups: Int, codes: IndexedSeq[Array[Int]], values: IndexedSeq[Array[String]],
+                                        firstNull: IndexedSeq[Int]) {
+  def select(cols: IndexedSeq[Int]): Coded = Coded(groups, cols.map(codes), cols.map(values), cols.map(firstNull))
+
+  /** No groups means an empty fact table, which has nothing to rank; a null
+    * value is rejected, naming its attribute (of `attrs`, one per column).
+    */
+  def requireGroups(attrs: Seq[String]): Unit = {
+    if (groups == 0)
+      throw new IllegalArgumentException(s"the fact table has no rows to group by ${attrs.mkString("(", ", ", ")")}")
+    val nulls = attrs.indices.filter(firstNull(_) >= 0)
+    if (nulls.nonEmpty) HierRelation.requireValue(present = false, attrs(nulls.minBy(firstNull)))
   }
 }
 
@@ -261,14 +291,14 @@ private[reptile] final class GroupBuffers(val width: Int) extends Serializable {
   def groupOf(key: UnsafeRow): Int = {
     val found = index.get(key)
     if (found != null) found
-    else {
-      if (groups == rows.length) resize(2 * groups)
-      val stored = key.copy()
-      keys += stored
-      index.put(stored, groups)
-      groups += 1
-      groups - 1
-    }
+    else { val stored = key.copy(); keys += stored; index.put(stored, groups); add() }
+  }
+
+  /** A new group with empty buffers (and no key). */
+  def add(): Int = {
+    if (groups == rows.length) resize(2 * groups)
+    groups += 1
+    groups - 1
   }
 
   /** Group `g`'s key, once packed. */
@@ -409,17 +439,26 @@ object Reptile {
   def collectDrilldown(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Drilldown =
     collectDrilldowns(fact, Vector(used), measure).head
 
-  /** The data step of several drill-downs: one Spark job of one map-only
-    * stage over the grouping attributes and the measure. Each task fills
-    * one set of `GroupBuffers` per distinct grouping in a single pass over
-    * its rows; the driver merges the tasks' buffers in partition order with
-    * Spark's merge. The statistics are distributive, so no shuffle is
-    * needed: the driver receives every group anyway.
-    */
+  /** The data step of several drill-downs: one Spark job (`aggregate`). */
   def collectDrilldowns(fact: DataFrame, useds: Vector[Vector[(Dimension, Int)]], measure: String): Vector[Drilldown] = {
     val attrLists = useds.map(Drilldown.attrsOf)
-    val cols = attrLists.flatten.distinct
     val groupings = attrLists.distinct
+    val (merged, types) = aggregate(fact, groupings, measure)
+    useds.zip(attrLists).map { case (used, attrs) =>
+      Drilldown.fromBuffers(used, merged(groupings.indexOf(attrs)), attrs.map(types), measure)
+    }
+  }
+
+  /** One Spark job of one map-only stage over the grouping attributes and
+    * the measure. Each task fills one set of `GroupBuffers` per grouping in
+    * a single pass over its rows; the driver merges the tasks' buffers in
+    * partition order with Spark's merge. The statistics are distributive,
+    * so no shuffle is needed: the driver receives every group anyway.
+    * Returns each grouping's buffers and each attribute's Spark type.
+    */
+  private[reptile] def aggregate(fact: DataFrame, groupings: Vector[Vector[String]],
+                                 measure: String): (Vector[GroupBuffers], Map[String, DataType]) = {
+    val cols = groupings.flatten.distinct
     val scan = fact.select(cols.map(col) :+ col(measure).cast("double"): _*)
     val types = scan.schema.fields.init.map(_.dataType)
     val groupCols = groupings.map(_.map(cols.indexOf).toArray).toArray
@@ -431,45 +470,31 @@ object Reptile {
       partials.foreach(p => (0 until p(j).groups).foreach(g => m.merge(m.groupOf(p(j).key(g)), p(j), g)))
       m.pack()
     }
-    useds.zip(attrLists).map { case (used, attrs) =>
-      Drilldown.fromBuffers(used, merged(groupings.indexOf(attrs)), attrs.map(a => types(cols.indexOf(a))), measure)
-    }
+    (merged.toVector, cols.zip(types).toMap)
   }
 
   /** Ranks the drill-down groups of one target hierarchy. */
-  def rankDim(
-      spark: SparkSession,
-      fact: DataFrame,
-      dims: Vector[Dimension],
-      drilled: Map[String, Int],
-      filters: Map[String, String],
-      complaint: Complaint,
-      measure: String,
-      targetDim: String,
-      aux: Seq[AuxDataset] = Nil,
-      cfg: ReptileConfig = ReptileConfig(),
-  ): DimRankResult =
-    rankDrilldown(collectDrilldown(fact, drilldownOf(dims, drilled, targetDim), measure), filters, complaint, aux, cfg)
+  def rankDim(spark: SparkSession, fact: DataFrame, dims: Vector[Dimension], drilled: Map[String, Int],
+              filters: Map[String, String], complaint: Complaint, measure: String, targetDim: String,
+              aux: Seq[AuxDataset] = Nil, cfg: ReptileConfig = ReptileConfig()): DimRankResult =
+    rank(collectDrilldowns(fact, _, measure), dims, drilled, filters, complaint, Some(targetDim), aux, cfg).head
 
   /** Ranks every candidate drill-down hierarchy and orders them by how
     * much their best group repair resolves the complaint. All candidates'
     * statistics come from one Spark scan.
     */
-  def recommend(
-      spark: SparkSession,
-      fact: DataFrame,
-      dims: Vector[Dimension],
-      drilled: Map[String, Int],
-      filters: Map[String, String],
-      complaint: Complaint,
-      measure: String,
-      aux: Seq[AuxDataset] = Nil,
-      cfg: ReptileConfig = ReptileConfig(),
-  ): Vector[DimRankResult] = {
-    val eligible = dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size)
-    require(eligible.nonEmpty, "no hierarchy left to drill down")
-    collectDrilldowns(fact, eligible.map(d => drilldownOf(dims, drilled, d.name)), measure)
-      .map(rankDrilldown(_, filters, complaint, aux, cfg))
+  def recommend(spark: SparkSession, fact: DataFrame, dims: Vector[Dimension], drilled: Map[String, Int],
+                filters: Map[String, String], complaint: Complaint, measure: String,
+                aux: Seq[AuxDataset] = Nil, cfg: ReptileConfig = ReptileConfig()): Vector[DimRankResult] =
+    rank(collectDrilldowns(fact, _, measure), dims, drilled, filters, complaint, None, aux, cfg)
+
+  /** `rankDim` of `targetDim`, or `recommend` if `None`, over the drill-downs `data` collects. */
+  private[reptile] def rank(data: Vector[Vector[(Dimension, Int)]] => Vector[Drilldown], dims: Vector[Dimension],
+                            drilled: Map[String, Int], filters: Map[String, String], complaint: Complaint,
+                            targetDim: Option[String], aux: Seq[AuxDataset], cfg: ReptileConfig): Vector[DimRankResult] = {
+    val targets = targetDim.fold(dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size).map(_.name))(Vector(_))
+    require(targets.nonEmpty, "no hierarchy left to drill down")
+    data(targets.map(drilldownOf(dims, drilled, _))).map(rankDrilldown(_, filters, complaint, aux, cfg))
       .sortBy(_.best.score)
   }
 

@@ -101,18 +101,6 @@ class HierRelationSpec extends SparkSpec {
     }
   }
 
-  test("truncate produces distinct prefixes") {
-    val t = geo.truncate(1)
-    assert(t.total == 2)
-    assert(t.rows == Vector(Vector("ofla"), Vector("raya")))
-    assert(geo.truncate(2) eq geo)
-    for (h <- randomHiers; d <- 1 to h.depth) {
-      val t = h.truncate(d)
-      assert(t.attrs == h.attrs.take(d), h.dim)
-      assert(t.rows == h.rows.map(_.take(d)).distinct.sorted, s"${h.dim} at $d")
-    }
-  }
-
   test("rowIndexOf and blockOfPrefix") {
     assert(geo.rowIndexOf(Seq("ofla", "darube")) == geo.rows.indexOf(Vector("ofla", "darube")))
     assert(geo.blockOfPrefix(Seq("raya")) == (3, 5))

@@ -52,15 +52,16 @@ class MultiLevelEMSpec extends SparkSpec {
   private def dense(fm: FactorizedMatrix) = new DenseBackend(fm.materialize, fm.clusterRanges)
 
   /** The marginal log-likelihood cluster by cluster over slices of the
-    * materialized matrix: y_i ~ N(X_i beta, V_i), V_i = Z_i Sigma Z_i^T +
-    * sigma2 I, factored and inverted outright.
+    * materialized matrix: y_i ~ N(X_i beta, V_i), V_i = Z_i Sigma_i Z_i^T +
+    * sigma2 I, factored and inverted outright; `prior(i)` is Sigma_i.
     */
-  private def denseLogLikelihood(fm: FactorizedMatrix, y: Array[Double], fit: MultiLevelFit): Double = {
+  private def denseLogLikelihood(fm: FactorizedMatrix, y: Array[Double], fit: MultiLevelFit,
+                                 prior: Int => Mat): Double = {
     val x = fm.materialize
-    fm.clusterRanges.map { case (start, l) =>
+    fm.clusterRanges.zipWithIndex.map { case ((start, l), i) =>
       val rows = start until start + l
       val zi = Mat.fromRows(rows.map(r => fit.reCols.toSeq.map(x(r, _))))
-      val v = zi * fit.sigma * zi.t + Mat.eye(l) * fit.sigma2
+      val v = zi * prior(i) * zi.t + Mat.eye(l) * fit.sigma2
       val r = rows.map(k => y(k) - (0 until fm.m).map(j => x(k, j) * fit.beta(j)).sum).toArray
       -0.5 * (l * math.log(2 * math.Pi) + Mat.logDet(v) + Mat.dot(r, v.inverse.mv(r)))
     }.sum
@@ -235,11 +236,46 @@ class MultiLevelEMSpec extends SparkSpec {
       for (re <- res; bk <- Seq(new FactorizedBackend(fm), dense(fm))) {
         val fit = MultiLevelEM.fit(bk, y, 10, reCols = Some(re))
         val got = MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), fit)
-        val want = denseLogLikelihood(fm, y, fit)
+        val want = denseLogLikelihood(fm, y, fit, _ => fit.sigma)
         assert(math.abs(got - want) <= 1e-6 * math.abs(want),
           s"$name ${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")}: $got vs $want")
       }
     }
+  }
+
+  test("an escalated block's log-likelihood uses its escalated prior precision") {
+    // The escalation fixture above. A block whose A_b needs a ridge
+    // lambda_b above the base one fits b_i ~ N(0, P_b^{-1}) with prior
+    // precision P_b = Sigma^{-1} + lambda_b I, and so must its lnL.
+    var escalated = 0
+    for (seed <- 0 until 3) {
+      val fm = fixture(seed = seed, collinear = true, scale = 1e7)
+      val rng = new Random(seed)
+      val y = Array.fill(fm.n)(rng.nextGaussian() * 0.2)
+      fm.clusterRanges.foreach { case (s, l) =>
+        val b = rng.nextGaussian()
+        (s until s + l).foreach(r => y(r) += 1.0 + b)
+      }
+      // The parameters after each iteration: the escalations come early.
+      for (re <- Seq(Array(3, 4), Array(0, 3, 4)); bk <- Seq(new FactorizedBackend(fm), dense(fm)); k <- 0 until 8) {
+        val what = s"${bk.getClass.getSimpleName} seed $seed reCols ${re.mkString(",")} iteration $k"
+        val fit = MultiLevelEM.fit(bk, y, k, reCols = Some(re))
+        val s = re.length
+        val sigmaInv = Mat.ridgeInverse(fit.sigma, 1e-8)
+        val base = 1e-8 * Mat.ridgeScale(sigmaInv.a, s)
+        // Each block's ridge: the base one, times 1e3 until A_b inverts.
+        val bg = bk.blockGrams
+        val lambdas = bg.d.map { d =>
+          val a = sigmaInv + new Mat(s, s, Array.tabulate(s * s)(k => d(re(k / s) * fm.m + re(k % s)) / fit.sigma2))
+          Iterator.iterate(base)(_ * 1e3).find(lam => !Mat.logDet(a + Mat.eye(s) * lam).isNaN).get
+        }
+        escalated += lambdas.count(_ > base)
+        val got = MultiLevelEM.logLikelihood(bk, ObservedY.dense(y), fit)
+        val want = denseLogLikelihood(fm, y, fit, i => (sigmaInv + Mat.eye(s) * lambdas(bg.blockOf(i))).inverse)
+        assert(math.abs(got - want) <= 1e-6 * math.abs(want), s"$what: $got vs $want")
+      }
+    }
+    assert(escalated > 0, "no block escalated")
   }
 
   test("EM recovers fixed effects on clean data") {

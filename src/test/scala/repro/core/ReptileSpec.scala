@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.core.frep.{HierRelation, Seg}
 import repro.core.reptile._
@@ -11,28 +12,10 @@ import scala.util.Random
   * planted-error scenarios, including the paper's running FIST example.
   */
 class ReptileSpec extends SparkSpec {
+  import ReptileSpec.{dims, panel}
   import spark.implicits._
 
   private val cfg = ReptileConfig(emIters = 8)
-
-  /** years x districts x villages panel with a known (mostly flat)
-    * measure. Enough parallel clusters that the multi-level model's shared
-    * covariance is estimated from clean groups (as in the paper's setup).
-    */
-  private def panel(seed: Long = 0, perGroup: Int = 20): Vector[(String, String, String, Double)] = {
-    val rng = new Random(seed)
-    for {
-      y <- Vector("1984", "1985", "1986", "1987", "1988")
-      d <- Vector("alaje", "bora", "ofla", "raya")
-      v <- (0 until 4).toVector.map(i => s"$d-v$i")
-      _ <- 0 until perGroup
-    } yield (y, d, v, 7.0 + rng.nextGaussian() * 0.5)
-  }
-
-  private val dims = Vector(
-    Dimension("time", Vector("year")),
-    Dimension("geo", Vector("district", "village")),
-  )
 
   test("recommend surfaces a village whose values collapsed (FIST example)") {
     // Zata-like error: one village's 1986 severities are far too low.
@@ -222,38 +205,7 @@ class ReptileSpec extends SparkSpec {
     assert(res.candidates.size == 4)
   }
 
-  /** Spark jobs and stages started by `body`, counted by a listener. The
-    * listener bus delivers events in order, so the work counted is that
-    * between two marker jobs run before and after `body`.
-    */
-  private def sparkWork(body: => Any): (Int, Int) = {
-    val sc = spark.sparkContext
-    val key = "reptile.spec.marker"
-    // (is a job start, the marker property of its job)
-    val events = new java.util.concurrent.ConcurrentLinkedQueue[(Boolean, String)]()
-    def markerOf(p: java.util.Properties): String = Option(p).flatMap(p => Option(p.getProperty(key))).getOrElse("")
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = events.add((true, markerOf(e.properties)))
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = events.add((false, markerOf(e.properties)))
-    }
-    def marker(name: String): Unit = {
-      sc.setLocalProperty(key, name)
-      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
-    }
-    sc.addSparkListener(listener)
-    try {
-      marker("before")
-      body
-      marker("after")
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!events.contains((true, "after")) && System.nanoTime() < deadline) Thread.sleep(10)
-      val seen = events.asScala.toVector
-      val (from, to) = (seen.indexOf((true, "before")), seen.indexOf((true, "after")))
-      assert(from >= 0 && to >= 0, s"markers not seen: $seen")
-      val window = seen.slice(from + 1, to).filter(_._2 == "")
-      (window.count(_._1), window.count(!_._1))
-    } finally sc.removeSparkListener(listener)
-  }
+  private def sparkWork(body: => Any): (Int, Int) = ReptileSpec.sparkWork(spark)(body)
 
   private def jobsOf(body: => Any): Int = sparkWork(body)._1
 
@@ -463,5 +415,59 @@ class ReptileSpec extends SparkSpec {
       assert(java.lang.Double.doubleToRawLongBits(p) == java.lang.Double.doubleToRawLongBits(q), s"${a.values}: $p vs $q")
       assert(a.score == b.score, s"${a.values}")
     }
+  }
+}
+
+object ReptileSpec {
+  /** years x districts x villages panel with a known (mostly flat)
+    * measure. Enough parallel clusters that the multi-level model's shared
+    * covariance is estimated from clean groups (as in the paper's setup).
+    */
+  def panel(seed: Long = 0, perGroup: Int = 20): Vector[(String, String, String, Double)] = {
+    val rng = new Random(seed)
+    for {
+      y <- Vector("1984", "1985", "1986", "1987", "1988")
+      d <- Vector("alaje", "bora", "ofla", "raya")
+      v <- (0 until 4).toVector.map(i => s"$d-v$i")
+      _ <- 0 until perGroup
+    } yield (y, d, v, 7.0 + rng.nextGaussian() * 0.5)
+  }
+
+  val dims = Vector(
+    Dimension("time", Vector("year")),
+    Dimension("geo", Vector("district", "village")),
+  )
+
+  /** Spark jobs and stages started by `body`, counted by a listener. The
+    * listener bus delivers events in order, so the work counted is that
+    * between two marker jobs run before and after `body`.
+    */
+  def sparkWork(spark: SparkSession)(body: => Any): (Int, Int) = {
+    val sc = spark.sparkContext
+    val key = "reptile.spec.marker"
+    // (is a job start, the marker property of its job)
+    val events = new java.util.concurrent.ConcurrentLinkedQueue[(Boolean, String)]()
+    def markerOf(p: java.util.Properties): String = Option(p).flatMap(p => Option(p.getProperty(key))).getOrElse("")
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = events.add((true, markerOf(e.properties)))
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = events.add((false, markerOf(e.properties)))
+    }
+    def marker(name: String): Unit = {
+      sc.setLocalProperty(key, name)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("before")
+      body
+      marker("after")
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!events.contains((true, "after")) && System.nanoTime() < deadline) Thread.sleep(10)
+      val seen = events.asScala.toVector
+      val (from, to) = (seen.indexOf((true, "before")), seen.indexOf((true, "after")))
+      assert(from >= 0 && to >= 0, s"markers not seen: $seen")
+      val window = seen.slice(from + 1, to).filter(_._2 == "")
+      (window.count(_._1), window.count(!_._1))
+    } finally sc.removeSparkListener(listener)
   }
 }

@@ -75,7 +75,7 @@ class ExpSmokeSpec extends SparkSpec {
   }
 
   test("Figure 9 harness: cached dynamic eliminates repeat B evaluations") {
-    val rows = DrilldownExp.run(bDepths = Seq(3), leaves = 5000)
+    val rows = DrilldownExp.run(spark, bDepths = Seq(3), leaves = 5000)
     val cached = rows.filter(r => r.strategy == "Cache+Dynamic" && r.invocation > 1)
     val static2 = rows.filter(r => r.strategy == "Static" && r.invocation > 1)
     assert(cached.map(_.evalBMs).sum < static2.map(_.evalBMs).sum,
