@@ -10,6 +10,16 @@ import repro.core.fmatrix.FeatureColumn
   */
 final case class AuxDataset(name: String, df: DataFrame, joinAttr: String, measure: String)
 
+/** `aux`'s measure by join value (as `String.valueOf` prints it), collected
+  * to the driver by one Spark query the first time a model reads it: a
+  * ranking call shares one across all its drill-downs and statistics.
+  */
+final class AuxValues(val aux: AuxDataset) {
+  lazy val byValue: Map[String, Double] =
+    aux.df.select(col(aux.joinAttr), col(aux.measure).cast("double")).collect()
+      .map(r => String.valueOf(r.get(0)) -> r.getDouble(1)).toMap
+}
+
 /** Builds the feature columns of the (factorised) feature matrix.
   *
   * Default features (Section 3.3.1): every grouping attribute becomes one
@@ -45,7 +55,7 @@ object Featurizer {
     val groupRows = hiers.indices.map { h =>
       rows.map(r => hiers(h).rowIndexOf(HierRelation.keyOf(r, offsets(h) until offsets(h + 1), hiers(h).attrs)))
     }.toVector
-    fromGroups(groupRows, rows.map(_.getDouble(attrs.size)), hiers, aux, minParallel)
+    fromGroups(groupRows, rows.map(_.getDouble(attrs.size)), hiers, aux.map(new AuxValues(_)), minParallel)
   }
 
   /** Featurizes on the driver. Group g is row `groupRows(h)(g)` of
@@ -55,7 +65,7 @@ object Featurizer {
       groupRows: Vector[Array[Int]],
       targets: Array[Double],
       hiers: Vector[HierRelation],
-      aux: Seq[AuxDataset],
+      aux: Seq[AuxValues],
       minParallel: Double = 2.0,
   ): Vector[FeatureColumn] = {
     require(groupRows.forall(_.length == targets.length), s"group rows and ${targets.length} targets differ in length")
@@ -77,15 +87,14 @@ object Featurizer {
     // An aux column whose join matches no hierarchy value would be all
     // zeros: a parameter no data moves, so it is left out.
     for (a <- aux) {
-      val loc = locate(hiers, a.joinAttr)
+      val loc = locate(hiers, a.aux.joinAttr)
       loc.foreach { case (h, ai) =>
-        val rows = a.df.select(col(a.joinAttr), col(a.measure).cast("double")).collect()
-        val raw = rows.map(r => String.valueOf(r.get(0)) -> r.getDouble(1)).toMap
+        val raw = a.byValue
         if (hiers(h).segments(ai).exists(s => raw.contains(s.value))) {
           val vals = raw.values.toSeq
           val mu = vals.sum / math.max(vals.size, 1)
           val sd = math.sqrt(vals.map(v => (v - mu) * (v - mu)).sum / math.max(vals.size, 1)) max 1e-12
-          cols += FeatureColumn(s"aux:${a.name}", h, ai, v => raw.get(v).map(x => (x - mu) / sd).getOrElse(0.0))
+          cols += FeatureColumn(s"aux:${a.aux.name}", h, ai, v => raw.get(v).map(x => (x - mu) / sd).getOrElse(0.0))
         }
       }
     }

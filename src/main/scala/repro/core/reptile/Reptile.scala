@@ -1,5 +1,7 @@
 package repro.core.reptile
 
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, UnsafeProjection, UnsafeRow}
@@ -128,7 +130,7 @@ final class Drilldown(
     Vector.tabulate(end - start)(c => (first + c, attrs.zip(fixedKey ++ hiers.last.rows(start + c)).toMap, observed(c)))
   }
 
-  def features(kind: StatKind, aux: Seq[AuxDataset], cfg: ReptileConfig): Vector[FeatureColumn] =
+  def features(kind: StatKind, aux: Seq[AuxValues], cfg: ReptileConfig): Vector[FeatureColumn] =
     Featurizer.fromGroups(groupRows, Drilldown.targets(kind, cfg.logTransform, stats, sums)._1, hiers, aux,
       cfg.minParallel)
 
@@ -138,8 +140,14 @@ final class Drilldown(
     */
   def observedY(kind: StatKind, logTransform: Boolean): ObservedY = {
     val (targets, default) = Drilldown.targets(kind, logTransform, stats, sums)
-    val byRow = stats.indices.sortBy(matrixRows(_)).toArray
-    ObservedY(byRow.map(matrixRows), byRow.map(targets), default)
+    // Matrix rows are distinct: sorting (row, group) pairs packed in a
+    // long orders the groups by row.
+    val byRow = new Array[Long](stats.size)
+    for (g <- byRow.indices) byRow(g) = matrixRows(g).toLong << 32 | g
+    java.util.Arrays.sort(byRow)
+    val (rows, values) = (new Array[Int](byRow.length), new Array[Double](byRow.length))
+    for (k <- byRow.indices) { rows(k) = (byRow(k) >>> 32).toInt; values(k) = targets(byRow(k).toInt) }
+    ObservedY(rows, values, default)
   }
 }
 
@@ -153,23 +161,30 @@ object Drilldown {
     * 0 for count and sum, the mean of the group means for mean.
     */
   def targets(kind: StatKind, logTransform: Boolean, stats: IndexedSeq[GroupStats],
-              sums: IndexedSeq[Double]): (Array[Double], Double) = {
-    val raw = kind match {
-      case StatKind.CountStat => stats.map(_.count).toArray
-      case StatKind.MeanStat  => stats.map(_.mean).toArray
-      case StatKind.SumStat   => sums.toArray
+              sums: Array[Double]): (Array[Double], Double) = {
+    val raw = new Array[Double](stats.size)
+    for (g <- raw.indices) raw(g) = kind match {
+      case StatKind.CountStat => stats(g).count
+      case StatKind.MeanStat  => stats(g).mean
+      case StatKind.SumStat   => sums(g)
     }
-    val empty = if (kind == StatKind.MeanStat && raw.nonEmpty) raw.sum / raw.length else 0.0
+    val empty = if (kind == StatKind.MeanStat && raw.nonEmpty) {
+      // Summed left to right from the first value, as `raw.sum` sums.
+      var total = raw(0)
+      for (g <- 1 until raw.length) total += raw(g)
+      total / raw.length
+    } else 0.0
     def xform(v: Double): Double = if (logTransform) math.log1p(math.max(v, 0.0)) else v
-    (raw.map(xform), xform(empty))
+    if (logTransform) for (g <- raw.indices) raw(g) = xform(raw(g))
+    (raw, xform(empty))
   }
 
   /** Reads merged group buffers: `b`'s keys hold the values of
     * `attrsOf(used)`, of Spark types `types`. Its three steps are those a
     * `ReptileSession` reuses: `code`, `hierarchy` and `assemble`.
     */
-  private[reptile] def fromBuffers(used: Vector[(Dimension, Int)], b: GroupBuffers, types: Seq[DataType],
-                                   measure: String): Drilldown = {
+  private[repro] def fromBuffers(used: Vector[(Dimension, Int)], b: GroupBuffers, types: Seq[DataType],
+                                 measure: String): Drilldown = {
     val coded = code(b, types)
     coded.requireGroups(attrsOf(used))
     val offsets = used.scanLeft(0)(_ + _._2)
@@ -207,17 +222,42 @@ object Drilldown {
   private[reptile] def hierarchy(d: Dimension, dep: Int, coded: Coded): (HierRelation, Array[Int]) = {
     val Coded(_, codes, values, _) = coded
     // Rank each group's prefix of the first j attributes among the
-    // distinct prefixes, for j = 1 .. dep: (rank, code) pairs sort as
-    // the prefixes extended by one attribute do.
-    val row = (1 until dep).foldLeft(codes(0)) { (prefix, i) =>
-      val pair = Array.tabulate(prefix.length)(g => prefix(g).toLong * values(i).length + codes(i)(g))
-      val ranked = pair.distinct.sorted
-      pair.map(java.util.Arrays.binarySearch(ranked, _))
+    // distinct prefixes, for j = 1 .. dep: ordering the groups by (rank of
+    // the shorter prefix, code), by two counting sorts, orders them as the
+    // prefixes extended by one attribute sort, and one pass drops repeats.
+    var row = codes(0)
+    var distinct = values(0).length
+    for (i <- 1 until dep) {
+      val (prefix, code) = (row, codes(i))
+      val byPair = byKey(byKey(Array.range(0, prefix.length), code, values(i).length), prefix, distinct)
+      row = new Array[Int](prefix.length)
+      distinct = 0
+      for (p <- byPair.indices) {
+        val g = byPair(p)
+        if (p == 0 || prefix(g) != prefix(byPair(p - 1)) || code(g) != code(byPair(p - 1))) distinct += 1
+        row(g) = distinct - 1
+      }
     }
-    val carrier = new Array[Int](row.max + 1)
+    val carrier = new Array[Int](distinct)
     row.indices.foreach(g => carrier(row(g)) = g)
     val tuples = Vector.tabulate(carrier.length)(r => (0 until dep).map(i => values(i)(codes(i)(carrier(r)))).toVector)
     (new HierRelation(d.name, d.attrs.take(dep), tuples), row)
+  }
+
+  /** `order` stably sorted by `keys(g)` of its groups `g`, each key in
+    * `0 until range`: a counting sort.
+    */
+  private def byKey(order: Array[Int], keys: Array[Int], range: Int): Array[Int] = {
+    val start = new Array[Int](range + 1)
+    for (p <- order.indices) start(keys(order(p)) + 1) += 1
+    for (k <- 1 to range) start(k) += start(k - 1)
+    val sorted = new Array[Int](order.length)
+    for (p <- order.indices) {
+      val k = keys(order(p))
+      sorted(start(k)) = order(p)
+      start(k) += 1
+    }
+    sorted
   }
 
   /** The drill-down whose group `g` has `b`'s buffers of group `g` and is
@@ -272,7 +312,7 @@ private[reptile] final case class Coded(groups: Int, codes: IndexedSeq[Array[Int
   * Spark's statistics bit for bit. `pack()` lays the keys out back to back
   * in one byte array, so a task ships flat arrays.
   */
-private[reptile] final class GroupBuffers(val width: Int) extends Serializable {
+private[repro] final class GroupBuffers(val width: Int) extends Serializable {
   var groups = 0
   var rows = new Array[Long](16)
   var n = new Array[Double](16)
@@ -393,6 +433,13 @@ object GroupBuffers {
   }
 }
 
+/** The data step's task: `GroupBuffers.aggregate` over one partition. */
+private[repro] final class AggregateTask(types: Array[DataType], groupings: Array[Array[Int]])
+    extends ((TaskContext, Iterator[InternalRow]) => Array[GroupBuffers]) with Serializable {
+  def apply(context: TaskContext, rows: Iterator[InternalRow]): Array[GroupBuffers] =
+    GroupBuffers.aggregate(rows, types, groupings)
+}
+
 /** The complaint-based drill-down engine (Problem 1).
   *
   * Each invocation runs one map-only Spark stage over the fact table (the
@@ -454,23 +501,48 @@ object Reptile {
     * a single pass over its rows; the driver merges the tasks' buffers in
     * partition order with Spark's merge. The statistics are distributive,
     * so no shuffle is needed: the driver receives every group anyway.
-    * Returns each grouping's buffers and each attribute's Spark type.
+    * Returns each grouping's buffers and each attribute's Spark type. Its
+    * steps are `scan`, `partials` and `merge`.
     */
-  private[reptile] def aggregate(fact: DataFrame, groupings: Vector[Vector[String]],
-                                 measure: String): (Vector[GroupBuffers], Map[String, DataType]) = {
+  private[repro] def aggregate(fact: DataFrame, groupings: Vector[Vector[String]],
+                               measure: String): (Vector[GroupBuffers], Map[String, DataType]) = {
     val cols = groupings.flatten.distinct
-    val scan = fact.select(cols.map(col) :+ col(measure).cast("double"): _*)
-    val types = scan.schema.fields.init.map(_.dataType)
-    val groupCols = groupings.map(_.map(cols.indexOf).toArray).toArray
-    val partials = scan.queryExecution.toRdd
-      .mapPartitions(rows => Iterator(GroupBuffers.aggregate(rows, types, groupCols)))
-      .collect()
-    val merged = groupings.indices.map { j =>
-      val m = new GroupBuffers(groupings(j).size)
-      partials.foreach(p => (0 until p(j).groups).foreach(g => m.merge(m.groupOf(p(j).key(g)), p(j), g)))
-      m.pack()
-    }
-    (merged.toVector, cols.zip(types).toMap)
+    val (rdd, types) = scan(fact, cols, measure)
+    val parts = partials(rdd, types, groupings.map(_.map(cols.indexOf).toArray).toArray)
+    (groupings.indices.map(j => merge(parts.map(_(j)), groupings(j).size)).toVector, cols.zip(types).toMap)
+  }
+
+  /** Catalyst's plan of the data step's scan: the rows of `cols` then the
+    * measure as a double, and the Spark types of `cols`.
+    */
+  private[repro] def scan(fact: DataFrame, cols: Vector[String],
+                          measure: String): (RDD[InternalRow], Array[DataType]) = {
+    val df = fact.select(cols.map(col) :+ col(measure).cast("double"): _*)
+    (df.queryExecution.toRdd, df.schema.fields.init.map(_.dataType))
+  }
+
+  /** The data step's Spark job: partition `p`'s buffers per grouping
+    * (`GroupBuffers.aggregate`) at index `p`, whatever order the tasks
+    * finish in. It is submitted with `SparkContext.runJob` and a named
+    * task class: Spark's closure cleaner leaves an object that is not a
+    * lambda alone, where for `mapPartitions(...).collect()` it re-reads
+    * and parses the bytecode of the lambdas' classes on every job.
+    */
+  private[repro] def partials(rdd: RDD[InternalRow], types: Array[DataType],
+                              groupCols: Array[Array[Int]]): Array[Array[GroupBuffers]] = {
+    val parts = new Array[Array[GroupBuffers]](rdd.getNumPartitions)
+    rdd.sparkContext.runJob(rdd, new AggregateTask(types, groupCols), parts.indices,
+      (p: Int, bufs: Array[GroupBuffers]) => parts(p) = bufs)
+    parts
+  }
+
+  /** One grouping's buffers of every partition, keys `width` wide, merged
+    * in partition order.
+    */
+  private[repro] def merge(parts: Array[GroupBuffers], width: Int): GroupBuffers = {
+    val m = new GroupBuffers(width)
+    parts.foreach(p => (0 until p.groups).foreach(g => m.merge(m.groupOf(p.key(g)), p, g)))
+    m.pack()
   }
 
   /** Ranks the drill-down groups of one target hierarchy. */
@@ -488,13 +560,16 @@ object Reptile {
                 aux: Seq[AuxDataset] = Nil, cfg: ReptileConfig = ReptileConfig()): Vector[DimRankResult] =
     rank(collectDrilldowns(fact, _, measure), dims, drilled, filters, complaint, None, aux, cfg)
 
-  /** `rankDim` of `targetDim`, or `recommend` if `None`, over the drill-downs `data` collects. */
+  /** `rankDim` of `targetDim`, or `recommend` if `None`, over the
+    * drill-downs `data` collects. Each aux dataset is collected at most once.
+    */
   private[reptile] def rank(data: Vector[Vector[(Dimension, Int)]] => Vector[Drilldown], dims: Vector[Dimension],
                             drilled: Map[String, Int], filters: Map[String, String], complaint: Complaint,
                             targetDim: Option[String], aux: Seq[AuxDataset], cfg: ReptileConfig): Vector[DimRankResult] = {
     val targets = targetDim.fold(dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size).map(_.name))(Vector(_))
     require(targets.nonEmpty, "no hierarchy left to drill down")
-    data(targets.map(drilldownOf(dims, drilled, _))).map(rankDrilldown(_, filters, complaint, aux, cfg))
+    val auxValues = aux.map(new AuxValues(_))
+    data(targets.map(drilldownOf(dims, drilled, _))).map(rankDrilldown(_, filters, complaint, auxValues, cfg))
       .sortBy(_.best.score)
   }
 
@@ -506,7 +581,7 @@ object Reptile {
       dd: Drilldown,
       filters: Map[String, String],
       complaint: Complaint,
-      aux: Seq[AuxDataset],
+      aux: Seq[AuxValues],
       cfg: ReptileConfig,
   ): DimRankResult = {
     val (target, tDepth) = dd.used.last
@@ -560,7 +635,7 @@ object Reptile {
   ): Array[Double] = {
     val offsets = hiers.scanLeft(0)(_ + _.depth)
     val (keys, stats) = observed.toVector.unzip
-    val (targets, default) = Drilldown.targets(kind, cfg.logTransform, stats, stats.map(_.sum))
+    val (targets, default) = Drilldown.targets(kind, cfg.logTransform, stats, stats.map(_.sum).toArray)
     val y = Array.fill(fm.n)(default)
     keys.indices.foreach { g =>
       y(fm.indexOf(hiers.indices.map(h => hiers(h).rowIndexOf(keys(g).slice(offsets(h), offsets(h + 1)))))) = targets(g)

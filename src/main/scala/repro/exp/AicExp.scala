@@ -25,9 +25,10 @@ object AicExp {
   ): Vector[(String, Double)] = {
     val dd = Reptile.collectDrilldown(fact, dims.map { case (d, attrs) => (Dimension(d, attrs), attrs.size) }, measure)
     val cfg = ReptileConfig(emIters = emIters)
+    val auxValues = new AuxValues(aux)
 
     def aicFor(useAux: Boolean, multiLevel: Boolean): Double = {
-      val fm = new FactorizedMatrix(dd.hiers, dd.features(StatKind.MeanStat, if (useAux) Seq(aux) else Nil, cfg))
+      val fm = new FactorizedMatrix(dd.hiers, dd.features(StatKind.MeanStat, if (useAux) Seq(auxValues) else Nil, cfg))
       val bk = new FactorizedBackend(fm)
       val y = dd.observedY(StatKind.MeanStat, cfg.logTransform)
       // Multi-level: a random intercept + (if present) a random slope on the

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
 import repro.SparkSpec
-import repro.core.reptile.{Dimension, Drilldown, Reptile}
+import repro.core.reptile.{Dimension, Drilldown, GroupBuffers, Reptile}
 import scala.util.Random
 
 /** The engine's data step (one map-only stage, partial statistics merged on
@@ -99,6 +99,45 @@ class DataStepSpec extends SparkSpec {
       assert(dds.map(_.attrs) == useds.map(Drilldown.attrsOf))
       val (whole, split) = dds.map(checkAgainstGroupBy(_, fact, rows)).unzip
       assert(whole.sum > 0 && (split.sum > 0) == (parts > 1), s"$parts partitions: $whole whole and $split split groups")
+    }
+  }
+
+  test("the driver merges the tasks' buffers in partition order, bit for bit on every run") {
+    // Partitions of uneven size, so tasks finish out of partition order;
+    // every group has rows in several partitions, met in different orders.
+    val rng = new Random(21)
+    val rows = Vector(3000, 40, 900, 7, 1800, 120, 400).map(size => Vector.fill(size) {
+      val d = rng.nextInt(3)
+      Row(s"t${rng.nextInt(3)}", s"d$d", s"d$d-v${rng.nextInt(4)}", 100.0 + 30.0 * rng.nextGaussian())
+    })
+    val fact = frame(rows)
+    val groupings = Vector(Vector("t", "d", "v"), Vector("d"), Vector("v", "t"))
+    val cols = groupings.flatten.distinct
+    val groupCols = groupings.map(_.map(cols.indexOf).toArray).toArray
+    val (rdd, types) = Reptile.scan(fact, cols, "m")
+    val perPartition = rdd.mapPartitions(it => Iterator(GroupBuffers.aggregate(it, types, groupCols))).collect()
+    assert(perPartition.length == 7)
+    val expected = groupings.indices.map { j =>
+      val m = new GroupBuffers(groupings(j).size)
+      perPartition.foreach(p => (0 until p(j).groups).foreach(g => m.merge(m.groupOf(p(j).key(g)), p(j), g)))
+      m.pack()
+    }
+    def fields(b: GroupBuffers): Seq[(String, Seq[Long])] =
+      Seq("rows" -> b.rows.toSeq, "keyStarts" -> b.keyStarts.map(_.toLong).toSeq,
+        "keyBytes" -> b.keyBytes.map(_.toLong).toSeq) ++
+        Seq("n" -> b.n, "avg" -> b.avg, "m2" -> b.m2, "sum" -> b.sum).map { case (f, a) =>
+          f -> a.map(java.lang.Double.doubleToRawLongBits).toSeq
+        }
+    for (run <- 0 until 5) {
+      val (merged, _) = Reptile.aggregate(fact, groupings, "m")
+      groupings.indices.foreach { j =>
+        assert(merged(j).groups == expected(j).groups, s"run $run, ${groupings(j)}")
+        fields(merged(j)).zip(fields(expected(j))).foreach { case ((f, got), (_, want)) =>
+          // A plain Boolean, so a failure names the field without printing the arrays.
+          val same = got == want
+          assert(same, s"run $run, ${groupings(j)}: $f differs")
+        }
+      }
     }
   }
 }

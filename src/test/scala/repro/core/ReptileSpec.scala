@@ -221,6 +221,25 @@ class ReptileSpec extends SparkSpec {
     assert(recWork == (1, 1), s"recommend ran (jobs, stages) = $recWork")
   }
 
+  test("rankDim and recommend collect an aux dataset once") {
+    val fact = panel(14).toDF("year", "district", "village", "sev")
+    // Collecting a repartitioned table runs a Spark job.
+    val rain = Seq("alaje" -> 120.0, "bora" -> 340.0, "ofla" -> 80.0, "raya" -> 210.0).toDF("district", "rainfall")
+      .repartition(2)
+    val aux = Seq(AuxDataset("rain", rain, "district", "rainfall"))
+    val auxJobs = jobsOf(rain.collect())
+    assert(auxJobs >= 1)
+    // A SUM complaint fits a count and a mean model, each featurized with
+    // the aux column; every candidate drill-down holds district.
+    val complaint = Complaint(AggType.Sum, Direction.TooLow)
+    val rankJobs = jobsOf(Reptile.rankDim(spark, fact, dims, Map("time" -> 1, "geo" -> 1),
+      Map("year" -> "1986", "district" -> "ofla"), complaint, "sev", "geo", aux, cfg))
+    assert(rankJobs == 1 + auxJobs, s"rankDim ran $rankJobs jobs, collecting the aux table takes $auxJobs")
+    val recJobs = jobsOf(Reptile.recommend(spark, fact, dims, Map("geo" -> 1), Map("district" -> "ofla"), complaint,
+      "sev", aux, cfg))
+    assert(recJobs == 1 + auxJobs, s"recommend ran $recJobs jobs, collecting the aux table takes $auxJobs")
+  }
+
   test("recommend's grouping-sets scan ranks each candidate as rankDim does") {
     val rows = panel(12).map {
       case (y, d, v, m) if y == "1987" && v == "raya-v3" => (y, d, v, m + 4.0)
@@ -402,7 +421,7 @@ class ReptileSpec extends SparkSpec {
     // The aux column would be all zeros, so the driver step leaves it out.
     val used = Reptile.drilldownOf(dims, Map("time" -> 1, "geo" -> 1), "geo")
     val dd = Reptile.collectDrilldown(fact, used, "sev")
-    val labels = dd.features(StatKind.MeanStat, Seq(aux), cfg).map(_.label)
+    val labels = dd.features(StatKind.MeanStat, Seq(new AuxValues(aux)), cfg).map(_.label)
     assert(!labels.contains("aux:rain"), labels)
     assert(labels == dd.features(StatKind.MeanStat, Nil, cfg).map(_.label))
 
