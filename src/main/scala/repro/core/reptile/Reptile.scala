@@ -1,10 +1,11 @@
 package repro.core.reptile
 
-import org.apache.spark.TaskContext
+import org.apache.spark.{Partition, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{BoundReference, UnsafeProjection, UnsafeRow}
+import org.apache.spark.sql.catalyst.expressions.{BindReferences, BoundReference, Cast, EvalMode, Expression,
+  UnsafeProjection, UnsafeRow}
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DataType, DoubleType, FloatType}
@@ -440,6 +441,17 @@ private[repro] final class AggregateTask(types: Array[DataType], groupings: Arra
     GroupBuffers.aggregate(rows, types, groupings)
 }
 
+/** The data step's rows: `exprs`, bound to the rows of `prev`, evaluated
+  * in the task by one `UnsafeProjection`. A named class rather than
+  * `mapPartitions`, so no lambda goes through Spark's closure cleaner.
+  */
+private[repro] final class ScanRDD(prev: RDD[InternalRow], exprs: Seq[Expression])
+    extends RDD[InternalRow](prev) {
+  override protected def getPartitions: Array[Partition] = firstParent[InternalRow].partitions
+  override def compute(split: Partition, context: TaskContext): Iterator[InternalRow] =
+    firstParent[InternalRow].iterator(split, context).map(UnsafeProjection.create(exprs))
+}
+
 /** The complaint-based drill-down engine (Problem 1).
   *
   * Each invocation runs one map-only Spark stage over the fact table (the
@@ -512,13 +524,29 @@ object Reptile {
     (groupings.indices.map(j => merge(parts.map(_(j)), groupings(j).size)).toVector, cols.zip(types).toMap)
   }
 
-  /** Catalyst's plan of the data step's scan: the rows of `cols` then the
-    * measure as a double, and the Spark types of `cols`.
+  /** The data step's scan: the rows of `cols` then the measure as a
+    * double, and the Spark types of `cols`. It reads the fact's own planned
+    * RDD (`queryExecution.toRdd`: planned once per Dataset, the plan
+    * `fact.collect()` runs), so a call plans nothing, and each task
+    * projects the columns out of the fact's rows (`ScanRDD`). The names
+    * resolve as `col` resolves them, and the measure's cast is the one
+    * `.cast("double")` analyses to.
     */
   private[repro] def scan(fact: DataFrame, cols: Vector[String],
                           measure: String): (RDD[InternalRow], Array[DataType]) = {
-    val df = fact.select(cols.map(col) :+ col(measure).cast("double"): _*)
-    (df.queryExecution.toRdd, df.schema.fields.init.map(_.dataType))
+    val qe = fact.queryExecution
+    val conf = qe.sparkSession.sessionState.conf
+    val plan = qe.analyzed
+    def quoted(name: String): String = s"`${name.replace("`", "``")}`"
+    def resolve(name: String): Expression = plan.resolveQuoted(name, conf.resolver).getOrElse(
+      throw new AnalysisException("UNRESOLVED_COLUMN.WITH_SUGGESTION",
+        Map("objectName" -> quoted(name), "proposal" -> plan.output.map(a => quoted(a.name)).mkString(", "))))
+    val attrs = cols.map(resolve)
+    val value = Cast(resolve(measure), DoubleType, Some(conf.sessionLocalTimeZone), EvalMode.fromSQLConf(conf))
+    require(value.checkInputDataTypes().isSuccess,
+      s"measure $measure of type ${value.child.dataType.simpleString} cannot be cast to double")
+    (new ScanRDD(qe.toRdd, (attrs :+ value).map(BindReferences.bindReference(_, plan.output))),
+      attrs.map(_.dataType).toArray)
   }
 
   /** The data step's Spark job: partition `p`'s buffers per grouping

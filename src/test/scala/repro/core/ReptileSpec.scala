@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{array, col}
+import org.apache.spark.sql.types.DoubleType
 import repro.SparkSpec
 import repro.core.frep.{HierRelation, Seg}
 import repro.core.reptile._
@@ -12,7 +14,7 @@ import scala.util.Random
   * planted-error scenarios, including the paper's running FIST example.
   */
 class ReptileSpec extends SparkSpec {
-  import ReptileSpec.{dims, panel}
+  import ReptileSpec.{digest, dims, panel}
   import spark.implicits._
 
   private val cfg = ReptileConfig(emIters = 8)
@@ -219,6 +221,59 @@ class ReptileSpec extends SparkSpec {
     val recWork = sparkWork(Reptile.recommend(spark, fact, dims, Map("geo" -> 1),
       Map("district" -> "ofla"), complaint, "sev", cfg = cfg))
     assert(recWork == (1, 1), s"recommend ran (jobs, stages) = $recWork")
+  }
+
+  private def rankGeo(fact: DataFrame, measure: String = "sev", ds: Vector[Dimension] = dims): DimRankResult =
+    Reptile.rankDim(spark, fact, ds, Map("time" -> 1, "geo" -> 1), Map(ds(0).attrs(0) -> "1986",
+      ds(1).attrs(0) -> "ofla"), Complaint(AggType.Mean, Direction.TooLow), measure, "geo", cfg = cfg)
+
+  test("the data step plans a DataFrame once: every call runs over its planned RDD") {
+    val fact = panel(16).toDF("year", "district", "village", "sev")
+    val runs = Vector.fill(2)(ReptileSpec.sparkStages(spark)(rankGeo(fact)))
+    val planned = fact.queryExecution.toRdd.id
+    runs.foreach { case (jobs, stages) =>
+      assert(jobs == 1 && stages.size == 1, s"$jobs jobs, stages $stages")
+      assert(stages.head.contains(planned), s"stage RDDs ${stages.head}, the fact's planned RDD $planned")
+    }
+    // The shuffle of a planned exchange runs once; later calls read its output.
+    val shuffled = fact.repartition(3)
+    val work = Vector.fill(3)(sparkWork(rankGeo(shuffled)))
+    assert(work.head._1 == 2 && work.tail.forall(_ == ((1, 1))), s"(jobs, stages) per call: $work")
+  }
+
+  test("the measure is cast to double and names resolve as col and cast(\"double\") would") {
+    val fact = panel(17).map { case (y, d, v, m) =>
+      val c = math.round(m * 100)
+      (y, d, v, c.toInt, c, BigDecimal(c, 2), BigDecimal(c, 2).toString)
+    }.toDF("year", "district", "village", "i", "l", "dec", "str")
+      .withColumn("dec", col("dec").cast("decimal(10,2)"))
+    for (m <- Seq("i", "l", "dec", "str")) {
+      val doubled = fact.withColumn(m, col(m).cast("double"))
+      assert(doubled.schema(m).dataType == DoubleType && fact.schema(m).dataType != DoubleType)
+      assert(digest(rankGeo(fact, m)) == digest(rankGeo(doubled, m)), s"measure $m")
+    }
+    // Under the default spark.sql.caseSensitive=false.
+    val upper = Vector(Dimension("time", Vector("YEAR")), Dimension("geo", Vector("District", "VILLAGE")))
+    assert(digest(rankGeo(fact, "DEC", upper)) == digest(rankGeo(fact, "dec")))
+    val unknown = Seq(
+      "hamlet" -> (() => rankGeo(fact, "dec", Vector(dims(0), Dimension("geo", Vector("district", "hamlet"))))),
+      "decc" -> (() => rankGeo(fact, "decc")),
+      "dec" -> (() => rankGeo(fact.select(col("*"), col("dec").as("DEC")), "dec")))
+    for ((name, call) <- unknown) {
+      val ex = intercept[AnalysisException](call())
+      assert(ex.getMessage.contains(s"`$name`"), ex.getMessage)
+    }
+    val notNumber = intercept[IllegalArgumentException](rankGeo(fact.withColumn("arr", array(col("i"))), "arr"))
+    assert(notNumber.getMessage.contains("measure arr of type array<int>"), notNumber.getMessage)
+  }
+
+  test("caching and unpersisting a DataFrame between calls leaves its ranking as it was") {
+    val fact = panel(18).toDF("year", "district", "village", "sev")
+    val first = digest(rankGeo(fact))
+    fact.cache().count()
+    val cached = try digest(rankGeo(fact)) finally fact.unpersist(blocking = true)
+    assert(cached == first)
+    assert(digest(rankGeo(fact)) == first)
   }
 
   test("rankDim and recommend collect an aux dataset once") {
@@ -462,14 +517,23 @@ object ReptileSpec {
     * between two marker jobs run before and after `body`.
     */
   def sparkWork(spark: SparkSession)(body: => Any): (Int, Int) = {
+    val (jobs, stages) = sparkStages(spark)(body)
+    (jobs, stages.size)
+  }
+
+  /** `sparkWork`'s jobs, and the RDD ids (`StageInfo.rddInfos`) of each
+    * stage submitted, in order.
+    */
+  def sparkStages(spark: SparkSession)(body: => Any): (Int, Vector[Set[Int]]) = {
     val sc = spark.sparkContext
     val key = "reptile.spec.marker"
-    // (is a job start, the marker property of its job)
-    val events = new java.util.concurrent.ConcurrentLinkedQueue[(Boolean, String)]()
+    // (a stage's RDD ids, or None for a job start; the marker property of its job)
+    val events = new java.util.concurrent.ConcurrentLinkedQueue[(Option[Set[Int]], String)]()
     def markerOf(p: java.util.Properties): String = Option(p).flatMap(p => Option(p.getProperty(key))).getOrElse("")
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = events.add((true, markerOf(e.properties)))
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = events.add((false, markerOf(e.properties)))
+      override def onJobStart(e: SparkListenerJobStart): Unit = events.add((None, markerOf(e.properties)))
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        events.add((Some(e.stageInfo.rddInfos.map(_.id).toSet), markerOf(e.properties)))
     }
     def marker(name: String): Unit = {
       sc.setLocalProperty(key, name)
@@ -481,12 +545,24 @@ object ReptileSpec {
       body
       marker("after")
       val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!events.contains((true, "after")) && System.nanoTime() < deadline) Thread.sleep(10)
+      while (!events.contains((None, "after")) && System.nanoTime() < deadline) Thread.sleep(10)
       val seen = events.asScala.toVector
-      val (from, to) = (seen.indexOf((true, "before")), seen.indexOf((true, "after")))
+      val (from, to) = (seen.indexOf((None, "before")), seen.indexOf((None, "after")))
       assert(from >= 0 && to >= 0, s"markers not seen: $seen")
       val window = seen.slice(from + 1, to).filter(_._2 == "")
-      (window.count(_._1), window.count(!_._1))
+      (window.count(_._1.isEmpty), window.flatMap(_._1))
     } finally sc.removeSparkListener(listener)
+  }
+
+  /** A ranking as plain values: per candidate in ranked order, its group
+    * values (keys lower-cased) and the bits of its score, observed
+    * statistics and predictions; then the baseline score's bits.
+    */
+  def digest(r: DimRankResult): (Vector[(Map[String, String], Seq[Long])], Long) = {
+    def bits(xs: Seq[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToRawLongBits)
+    (r.ranked.map(c => (c.values.map { case (k, v) => k.toLowerCase -> v },
+      bits(Seq(c.score, c.observed.count, c.observed.mean, c.observed.std, c.residual) ++
+        c.predicted.toSeq.sortBy(_._1).map(_._2)))),
+      java.lang.Double.doubleToRawLongBits(r.baselineScore))
   }
 }
